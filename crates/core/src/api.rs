@@ -6,6 +6,7 @@ use gaia_graph::{EgoConfig, EgoSubgraph};
 use gaia_nn::ParamStore;
 use gaia_synth::Dataset;
 use gaia_tensor::{Graph, Tensor, VarId};
+use std::sync::Arc;
 
 /// Cache of per-node embedding *values* for inference-only forward passes.
 ///
@@ -50,10 +51,26 @@ const PROJ_SLOTS: [ProjSlot; 5] =
     [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
 
 /// Nodes per copy-on-write cache segment (see [`EmbedCache`]): contiguous
-/// node-id ranges `[k·64, (k+1)·64)` share one `Arc`'d chunk, so an
+/// node-id ranges `[k·8, (k+1)·8)` share one `Arc`'d chunk, so an
 /// incremental republish re-allocates only the chunks a dirty node lands in.
-/// Must stay 64: segment presence masks are one `u64` bit per node.
-pub const SEGMENT_NODES: usize = 64;
+/// Small on purpose: a segment holds `8 × node_stride` cache elements
+/// (~26 KB at the serving model's width), so a ~100-shop churn burst,
+/// whose recomputed nodes scatter over the id space, copies a few MB per
+/// publish instead of the ~20 MB 64-node segments cost.
+pub const SEGMENT_NODES: usize = 8;
+// Segment presence masks are one `u64` bit per node.
+const _: () = assert!(SEGMENT_NODES <= 64);
+
+/// Segments per page of the segment table (see [`EmbedCache`]). The table
+/// is path-copied too: cloning a cache bumps one `Arc` per page, not per
+/// segment, and a write copies its page's segment pointers before it
+/// copies the segment. At 8 × 8 nodes a page spans 64 nodes, so cloning
+/// or dropping a 10⁵-node cache touches ~1.6k reference counts instead of
+/// the 12.5k scattered segment headers — each a cache and TLB miss.
+const PAGE_SEGMENTS: usize = 8;
+
+/// One copy-on-write page of the segment table.
+type Page = [Option<Arc<Segment>>; PAGE_SEGMENTS];
 
 /// Element type of the frozen cache blocks: raw `f32` by default, IEEE 754
 /// binary16 bits under the opt-in `embed-f16` feature (half the resident
@@ -154,12 +171,16 @@ pub struct BlockValues<'a> {
 
 #[derive(Clone, Debug, Default)]
 pub struct EmbedCache {
-    /// Shared base, segmented: index `k` covers nodes
-    /// `[k·SEGMENT_NODES, (k+1)·SEGMENT_NODES)`. Cloning is a vector of
-    /// `Arc` bumps; [`EmbedCache::into_shared`] rebuilds only segments the
-    /// local overlay touched, leaving every clean segment's `Arc` (and thus
-    /// its heap storage) shared with the previous epoch.
-    shared: Vec<Option<std::sync::Arc<Segment>>>,
+    /// Shared base, segmented: segment `k` covers nodes
+    /// `[k·SEGMENT_NODES, (k+1)·SEGMENT_NODES)` and sits in slot
+    /// `k % PAGE_SEGMENTS` of page `k / PAGE_SEGMENTS`. Cloning is one
+    /// `Arc` bump per page; [`EmbedCache::into_shared`] and
+    /// [`EmbedCache::insert_block`] rebuild only the segments (and pages)
+    /// they write, leaving every clean segment's `Arc` (and thus its heap
+    /// storage) shared with the previous epoch.
+    pages: Vec<Arc<Page>>,
+    /// Number of segment slots: the highest frozen node's segment plus one.
+    segments: usize,
     /// Embedding dims `(T, C)` of the frozen blocks, inferred from the
     /// overlay tensors on the first freeze. Every cached tensor agrees on
     /// them (one model, one dataset — see [`EmbedCache::clear`]).
@@ -182,7 +203,33 @@ impl EmbedCache {
     /// Number of shared segment slots (the highest frozen node's segment
     /// plus one; local-only entries don't count until frozen).
     pub fn segment_count(&self) -> usize {
-        self.shared.len()
+        self.segments
+    }
+
+    /// Shared segment `seg`, if populated.
+    #[inline]
+    fn segment(&self, seg: usize) -> Option<&Arc<Segment>> {
+        self.pages.get(seg / PAGE_SEGMENTS)?[seg % PAGE_SEGMENTS].as_ref()
+    }
+
+    /// Every populated shared segment, in index order.
+    fn frozen_segments(&self) -> impl Iterator<Item = &Arc<Segment>> {
+        self.pages.iter().flat_map(|page| page.iter().flatten())
+    }
+
+    /// Extend the table to at least `segments` slots (new slots empty).
+    fn grow_to(&mut self, segments: usize) {
+        if segments > self.segments {
+            self.segments = segments;
+            self.pages.resize_with(segments.div_ceil(PAGE_SEGMENTS), Default::default);
+        }
+    }
+
+    /// Writable slot of segment `seg` (within [`EmbedCache::segment_count`]):
+    /// copies its page first if the page is still shared with another
+    /// epoch. The segment itself is left shared — callers copy it on write.
+    fn segment_slot_mut(&mut self, seg: usize) -> &mut Option<Arc<Segment>> {
+        &mut Arc::make_mut(&mut self.pages[seg / PAGE_SEGMENTS])[seg % PAGE_SEGMENTS]
     }
 
     /// Stable address of shared segment `seg`'s storage, if populated.
@@ -190,16 +237,13 @@ impl EmbedCache {
     /// segment's heap allocation — the observable the zero-alloc
     /// copy-on-write tests pin.
     pub fn segment_addr(&self, seg: usize) -> Option<usize> {
-        self.shared
-            .get(seg)
-            .and_then(|s| s.as_ref())
-            .map(|arc| std::sync::Arc::as_ptr(arc) as usize)
+        self.segment(seg).map(|arc| Arc::as_ptr(arc) as usize)
     }
 
     /// Flat element span of `node`'s frozen embedding, if present.
     fn shared_embed_span(&self, node: usize) -> Option<&[CacheElem]> {
         let (t, c) = self.dims?;
-        let seg = self.shared.get(Self::segment_of(node))?.as_ref()?;
+        let seg = self.segment(Self::segment_of(node))?;
         let off = node % SEGMENT_NODES;
         if seg.embed_mask >> off & 1 == 0 {
             return None;
@@ -216,7 +260,7 @@ impl EmbedCache {
         slot: ProjSlot,
     ) -> Option<(&[CacheElem], usize, usize)> {
         let (t, c) = self.dims?;
-        let seg = self.shared.get(Self::segment_of(node))?.as_ref()?;
+        let seg = self.segment(Self::segment_of(node))?;
         let off = node % SEGMENT_NODES;
         if seg.proj_masks[slot as usize] >> off & 1 == 0 {
             return None;
@@ -288,7 +332,7 @@ impl EmbedCache {
     /// Number of cached nodes (shared and local combined).
     pub fn len(&self) -> usize {
         let shared_len: usize =
-            self.shared.iter().flatten().map(|seg| seg.embed_mask.count_ones() as usize).sum();
+            self.frozen_segments().map(|seg| seg.embed_mask.count_ones() as usize).sum();
         let overlay_only =
             self.local.keys().filter(|&&k| self.shared_embed_span(k).is_none()).count();
         shared_len + overlay_only
@@ -305,7 +349,8 @@ impl EmbedCache {
     /// the frozen dims: the next freeze re-infers them, so a model with a
     /// different channel width can reuse the cache object.
     pub fn clear(&mut self) {
-        self.shared.clear();
+        self.pages.clear();
+        self.segments = 0;
         self.dims = None;
         self.local.clear();
         self.proj_local.clear();
@@ -322,9 +367,7 @@ impl EmbedCache {
     /// Number of nodes with at least one cached projection slot.
     pub fn cached_projections(&self) -> usize {
         let shared_len: usize = self
-            .shared
-            .iter()
-            .flatten()
+            .frozen_segments()
             .map(|seg| seg.proj_masks.iter().fold(0u64, |acc, &m| acc | m).count_ones() as usize)
             .sum();
         let overlay_only = self
@@ -339,16 +382,17 @@ impl EmbedCache {
     /// `capacity × element size` plus a 16-byte per-allocation overhead,
     /// inline headers counted as part of their parent block. The frozen
     /// tier is one contiguous block per segment (two allocations with the
-    /// `Arc`), so the world-scale bench sees per-node cost collapse to the
-    /// element payload itself.
+    /// `Arc`) plus one small page allocation per `PAGE_SEGMENTS`
+    /// segments, so the world-scale bench sees per-node cost collapse to
+    /// the element payload itself.
     pub fn approx_heap_bytes(&self) -> usize {
         const OVH: usize = 16;
         fn tensor_bytes(t: &Tensor) -> usize {
             t.data().len() * 4 + t.shape().len() * 8 + 2 * OVH
         }
-        let mut bytes =
-            self.shared.capacity() * std::mem::size_of::<Option<std::sync::Arc<Segment>>>() + OVH;
-        for seg in self.shared.iter().flatten() {
+        let mut bytes = self.pages.capacity() * std::mem::size_of::<Arc<Page>>() + OVH;
+        bytes += self.pages.len() * (std::mem::size_of::<Page>() + 2 * 8 + OVH);
+        for seg in self.frozen_segments() {
             bytes += OVH; // the Arc allocation (header + inline Segment)
             bytes += seg.data.capacity() * std::mem::size_of::<CacheElem>() + OVH;
         }
@@ -406,12 +450,10 @@ impl EmbedCache {
         self.dims = Some((t, c));
         let stride = node_stride(t, c);
         if let Some(&max_seg) = touched.last() {
-            if self.shared.len() <= max_seg {
-                self.shared.resize(max_seg + 1, None);
-            }
+            self.grow_to(max_seg + 1);
         }
         for seg_idx in touched {
-            let mut seg = match &self.shared[seg_idx] {
+            let mut seg = match self.segment(seg_idx) {
                 Some(arc) => (**arc).clone(),
                 None => Segment::empty(stride),
             };
@@ -436,11 +478,12 @@ impl EmbedCache {
                     }
                 }
             }
-            self.shared[seg_idx] = Some(std::sync::Arc::new(seg));
+            *self.segment_slot_mut(seg_idx) = Some(Arc::new(seg));
         }
         debug_assert!(self.local.is_empty() && self.proj_local.is_empty());
         Self {
-            shared: self.shared,
+            pages: self.pages,
+            segments: self.segments,
             dims: self.dims,
             local: Default::default(),
             proj_local: Default::default(),
@@ -484,18 +527,16 @@ impl EmbedCache {
         }
         let stride = node_stride(t, c);
         if let Some(&max) = nodes.last() {
-            let max_seg = Self::segment_of(max);
-            if self.shared.len() <= max_seg {
-                self.shared.resize(max_seg + 1, None);
-            }
+            self.grow_to(Self::segment_of(max) + 1);
         }
         let mut i = 0;
         while i < b {
             let seg_idx = Self::segment_of(nodes[i]);
-            let arc = self.shared[seg_idx]
-                .get_or_insert_with(|| std::sync::Arc::new(Segment::empty(stride)));
+            let arc = self
+                .segment_slot_mut(seg_idx)
+                .get_or_insert_with(|| Arc::new(Segment::empty(stride)));
             assert_eq!(arc.data.len(), SEGMENT_NODES * stride, "insert_block: stride mismatch");
-            let seg = std::sync::Arc::make_mut(arc);
+            let seg = Arc::make_mut(arc);
             while i < b && Self::segment_of(nodes[i]) == seg_idx {
                 let off = nodes[i] % SEGMENT_NODES;
                 let block = off * stride;
@@ -533,16 +574,14 @@ impl EmbedCache {
             (None, Some(b)) => self.dims = Some(b),
             _ => {}
         }
-        if self.shared.len() < other.shared.len() {
-            self.shared.resize(other.shared.len(), None);
-        }
-        for (seg_idx, arc) in other.shared.into_iter().enumerate() {
-            if let Some(arc) = arc {
+        self.grow_to(other.segments);
+        for seg_idx in 0..other.segments {
+            if let Some(arc) = other.segment(seg_idx) {
                 assert!(
-                    self.shared[seg_idx].is_none(),
+                    self.segment(seg_idx).is_none(),
                     "merge_disjoint: segment {seg_idx} populated in both caches"
                 );
-                self.shared[seg_idx] = Some(arc);
+                *self.segment_slot_mut(seg_idx) = Some(Arc::clone(arc));
             }
         }
         self.local.extend(other.local);
@@ -561,12 +600,17 @@ impl EmbedCache {
     /// segment.
     pub fn retain_segments(&self, keep: impl Fn(usize) -> bool) -> Self {
         Self {
-            shared: self
-                .shared
+            pages: self
+                .pages
                 .iter()
                 .enumerate()
-                .map(|(seg, arc)| if keep(seg) { arc.clone() } else { None })
+                .map(|(p, page)| {
+                    Arc::new(std::array::from_fn(|i| {
+                        page[i].as_ref().filter(|_| keep(p * PAGE_SEGMENTS + i)).cloned()
+                    }))
+                })
                 .collect(),
+            segments: self.segments,
             dims: self.dims,
             local: self.local.clone(),
             proj_local: self.proj_local.clone(),
@@ -925,7 +969,10 @@ mod tests {
         let addr1 = base.segment_addr(1).unwrap();
         // Next epoch: clone (Arc bumps), rewrite three nodes of segment 1.
         let mut next = base.clone();
-        let dirty: Vec<usize> = (SEGMENT_NODES + 5..SEGMENT_NODES + 8).collect();
+        // Offsets relative to segment 1 `[SEGMENT_NODES, 2·SEGMENT_NODES)`:
+        // the last three nodes are rewritten, the first stays clean, and a
+        // later block lands on the two after it.
+        let dirty: Vec<usize> = (2 * SEGMENT_NODES - 3..2 * SEGMENT_NODES).collect();
         let shifted: Vec<usize> = dirty.iter().map(|&v| v + 100).collect();
         let (embed, q, k, v, gs, gd) = block_payload(&shifted);
         let vals =
@@ -941,12 +988,47 @@ mod tests {
             assert_eq!(next.embed_vec(d), Some(vec![(d + 100) as f32, 1.0]));
         }
         // Untouched neighbours in the copied segment carried over.
-        let clean = SEGMENT_NODES + 9;
+        let clean = SEGMENT_NODES;
         assert_eq!(next.embed_vec(clean), Some(vec![clean as f32, 1.0]));
         // A second block into the now-owned segment writes in place.
-        let more: Vec<usize> = (SEGMENT_NODES + 20..SEGMENT_NODES + 22).collect();
+        let more: Vec<usize> = (SEGMENT_NODES + 1..SEGMENT_NODES + 3).collect();
+        assert!(dirty.iter().chain(&more).chain([&clean]).all(|&v| EmbedCache::segment_of(v) == 1));
         insert_probe_block(&mut next, &more);
         assert_eq!(next.segment_addr(1), Some(owned_addr), "owned segment re-cloned");
+    }
+
+    /// The segment table is path-copied by page: a block straddling two
+    /// pages of a cloned cache copies exactly its two segments, every
+    /// other segment stays shared, and the previous epoch's pages and
+    /// values are untouched.
+    #[test]
+    fn insert_block_across_a_page_boundary_is_copy_on_write() {
+        let span = SEGMENT_NODES * super::PAGE_SEGMENTS;
+        let mut base = EmbedCache::new();
+        insert_probe_block(&mut base, &(0..3 * span).collect::<Vec<_>>());
+        let addrs: Vec<_> = (0..base.segment_count()).map(|s| base.segment_addr(s)).collect();
+        let mut next = base.clone();
+        // One node at the end of page 0 and one at the start of page 1.
+        let dirty = [span - 1, span];
+        let (embed, q, k, v, gs, gd) = block_payload(&[7, 8]);
+        let vals =
+            super::BlockValues { embed: &embed, q: &q, k: &k, v: &v, gate_src: &gs, gate_dst: &gd };
+        next.insert_block(&dirty, 1, 2, &vals);
+        let touched: Vec<usize> = dirty.iter().map(|&d| EmbedCache::segment_of(d)).collect();
+        for (s, addr) in addrs.iter().enumerate() {
+            assert_eq!(base.segment_addr(s), *addr, "base segment {s} moved");
+            if touched.contains(&s) {
+                assert_ne!(next.segment_addr(s), *addr, "segment {s} written in place");
+            } else {
+                assert_eq!(next.segment_addr(s), *addr, "segment {s} copied");
+            }
+        }
+        for d in dirty {
+            assert_eq!(base.embed_vec(d), Some(vec![d as f32, 1.0]), "base epoch mutated");
+        }
+        assert_eq!(next.embed_vec(span - 1), Some(vec![7.0, 1.0]));
+        assert_eq!(next.embed_vec(span), Some(vec![8.0, 1.0]));
+        assert_eq!(next.len(), base.len());
     }
 
     #[test]

@@ -578,8 +578,8 @@ impl ModelServer {
 }
 
 /// Least-squares linearity check for a scaling curve: returns the R² of
-/// seconds ~ clients. Values near 1 confirm the paper's linear-scaling
-/// claim.
+/// seconds ~ clients, in `[0, 1]`. Values near 1 confirm the paper's
+/// linear-scaling claim.
 pub fn linearity_r2(curve: &[(usize, f64)]) -> f64 {
     let n = curve.len() as f64;
     if curve.len() < 2 {
@@ -600,7 +600,9 @@ pub fn linearity_r2(curve: &[(usize, f64)]) -> f64 {
     if sxx <= 0.0 || syy <= 0.0 {
         return 1.0;
     }
-    (sxy * sxy) / (sxx * syy)
+    // Exactly 1 in exact arithmetic for two points; rounding can land a
+    // hair above it.
+    ((sxy * sxy) / (sxx * syy)).min(1.0)
 }
 
 #[cfg(test)]
@@ -849,7 +851,14 @@ mod tests {
     #[test]
     fn scaling_curve_grows_with_clients() {
         let (server, _, _) = booted_server();
-        let curve = server.scaling_curve(&[10, 40], 2);
+        // Per-point minimum over three sweeps: a millisecond-scale wall
+        // time on a shared host can catch one scheduler stall.
+        let mut curve = server.scaling_curve(&[10, 40], 2);
+        for _ in 0..2 {
+            for (best, again) in curve.iter_mut().zip(server.scaling_curve(&[10, 40], 2)) {
+                best.1 = best.1.min(again.1);
+            }
+        }
         assert_eq!(curve.len(), 2);
         assert!(curve[1].1 >= curve[0].1 * 0.5, "time should roughly grow: {curve:?}");
     }

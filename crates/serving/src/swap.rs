@@ -18,8 +18,10 @@
 //! pointer. That needs `unsafe` (`Arc::from_raw`/`increment_strong_count`)
 //! and a deferred-reclamation protocol; this workspace denies `unsafe_code`,
 //! so the same reader-side cost (one `Ordering::Acquire` load) is obtained
-//! with an epoch counter plus a per-reader cached clone, and the mutex is
-//! only ever taken on publish and on the first read after a publish.
+//! with an epoch counter plus a per-reader cached clone. The slot mutex is
+//! only ever held for an `Arc` clone or an `Arc` install: publishers are
+//! serialised by a separate publisher mutex, so a reader's first read
+//! after a publish never waits for the *next* snapshot to be built.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -30,49 +32,62 @@ use std::sync::{Arc, Mutex};
 pub struct Swap<T> {
     /// Bumped after every install; readers revalidate against this.
     epoch: AtomicU64,
-    /// The current snapshot. Locked only by publishers and by readers
-    /// refreshing a stale cache — never on the steady-state read path.
+    /// The current snapshot. Held only to clone or install an `Arc` —
+    /// never while a snapshot is being built, and never on the
+    /// steady-state read path.
     current: Mutex<Arc<T>>,
+    /// Serialises publishers ([`Swap::store`] and [`Swap::update`]) for
+    /// the whole read-modify-write, so readers never contend with it.
+    publisher: Mutex<()>,
 }
 
 impl<T> Swap<T> {
     /// Create a cell holding `initial` at epoch 0.
     pub fn new(initial: Arc<T>) -> Self {
-        Self { epoch: AtomicU64::new(0), current: Mutex::new(initial) }
+        Self { epoch: AtomicU64::new(0), current: Mutex::new(initial), publisher: Mutex::new(()) }
     }
 
     /// Publish a new snapshot. A single pointer-sized store makes it visible;
     /// in-flight readers finish on the snapshot they already hold.
     pub fn store(&self, next: Arc<T>) {
-        let mut slot = self.current.lock().expect("swap publisher poisoned");
-        *slot = next;
+        let _publishing = self.publisher.lock().expect("swap publisher poisoned");
+        self.install(next);
+    }
+
+    /// Publish a snapshot **derived from the current one**: `f` runs with
+    /// the currently-installed `Arc` under the publisher lock, and its
+    /// result is installed atomically. This is the incremental-republish
+    /// primitive: concurrent publishers are serialised (each sees its
+    /// predecessor's output, so no delta is lost to a lost-update race),
+    /// while readers never wait on `f` — the slot lock they take on their
+    /// first read after an epoch bump is held only for the `Arc` clone
+    /// before `f` and the install after it, so they keep serving their
+    /// cached snapshot (or load the current one) while the next is built.
+    pub fn update<F: FnOnce(&Arc<T>) -> Arc<T>>(&self, f: F) {
+        let _publishing = self.publisher.lock().expect("swap publisher poisoned");
+        let current = self.load_full();
+        let next = f(&current);
+        drop(current);
+        self.install(next);
+    }
+
+    /// Install `next` and bump the epoch. Callers hold the publisher lock.
+    fn install(&self, next: Arc<T>) {
+        let mut slot = self.current.lock().expect("swap slot poisoned");
+        let prev = std::mem::replace(&mut *slot, next);
         // Bump while holding the lock so a reader that observes the new
         // epoch always finds the matching snapshot in the slot.
         self.epoch.fetch_add(1, Ordering::Release);
+        drop(slot);
+        // The old snapshot may be the last reference to a large world:
+        // free it outside the slot lock.
+        drop(prev);
     }
 
-    /// Publish a snapshot **derived from the current one**: `f` runs under
-    /// the publish lock with the currently-installed `Arc`, and its result
-    /// is installed atomically. This is the incremental-republish primitive:
-    /// concurrent publishers are serialised (each sees its predecessor's
-    /// output, so no delta is lost to a lost-update race), while steady-state
-    /// readers are unaffected — they only take the lock on their first read
-    /// after the epoch bump, exactly as with [`Swap::store`].
-    ///
-    /// `f` should be quick relative to the publish cadence, but readers
-    /// never wait on it: they keep serving their cached snapshot until the
-    /// new epoch is visible.
-    pub fn update<F: FnOnce(&Arc<T>) -> Arc<T>>(&self, f: F) {
-        let mut slot = self.current.lock().expect("swap publisher poisoned");
-        let next = f(&slot);
-        *slot = next;
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Clone the current snapshot (slow path: takes the publish lock).
-    /// Request loops should use [`Swap::reader`] instead.
+    /// Clone the current snapshot (slow path: takes the slot lock for one
+    /// `Arc` clone). Request loops should use [`Swap::reader`] instead.
     pub fn load_full(&self) -> Arc<T> {
-        Arc::clone(&self.current.lock().expect("swap publisher poisoned"))
+        Arc::clone(&self.current.lock().expect("swap slot poisoned"))
     }
 
     /// Number of publishes since construction.
@@ -88,7 +103,7 @@ impl<T> Swap<T> {
 
 /// A per-worker read handle over a [`Swap`]. [`SwapReader::get`] costs one
 /// atomic load unless a publish happened since the last call, in which case
-/// the cached `Arc` is refreshed under the publish lock.
+/// the cached `Arc` is refreshed under the slot lock.
 #[derive(Debug)]
 pub struct SwapReader<'a, T> {
     swap: &'a Swap<T>,
@@ -184,7 +199,7 @@ mod tests {
 
     /// Interleaved `update` publishers compose: every increment lands
     /// exactly once because each closure runs on its predecessor's output
-    /// under the publish lock (no lost updates).
+    /// under the publisher lock (no lost updates).
     #[test]
     fn concurrent_updates_never_lose_a_delta() {
         let swap = Arc::new(Swap::new(Arc::new(0u64)));
@@ -201,6 +216,43 @@ mod tests {
         });
         assert_eq!(*swap.load_full(), 4 * PER_THREAD);
         assert_eq!(swap.epoch(), 4 * PER_THREAD);
+    }
+
+    /// Readers never wait for a publish that is still being built: while
+    /// an `update` closure is parked, a stale reader's `get` and a
+    /// `load_full` both return the installed snapshot.
+    #[test]
+    fn readers_do_not_wait_for_an_update_in_progress() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let swap = Swap::new(Arc::new(1u64));
+        let mut reader = swap.reader();
+        swap.store(Arc::new(2));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (read_tx, read_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let swap = &swap;
+            scope.spawn(move || {
+                swap.update(|cur| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Arc::new(**cur + 1)
+                });
+            });
+            entered_rx.recv().unwrap();
+            // The reader is stale (a store landed after it was made), so
+            // its `get` takes the slot lock — which `f` must not be holding.
+            scope.spawn(move || {
+                let got = **reader.get();
+                read_tx.send((got, *swap.load_full(), swap.epoch())).unwrap();
+            });
+            let read = read_rx.recv_timeout(Duration::from_secs(20));
+            release_tx.send(()).unwrap();
+            assert_eq!(read, Ok((2, 2, 1)), "a reader waited for the parked update");
+        });
+        assert_eq!(*swap.load_full(), 3);
+        assert_eq!(swap.epoch(), 2);
     }
 
     /// Hammer the cell: four readers spin on `get` while the publisher

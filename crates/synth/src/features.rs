@@ -5,12 +5,15 @@
 //! GMV enters the models as standardised `log1p` values (`Scaler`), which is
 //! also how predictions are mapped back to currency for MAE/RMSE/MAPE.
 //!
-//! Storage is struct-of-arrays: every per-shop column lives in one flat
-//! arena (`[N·T]`-style, row-major per shop) rather than one heap object per
-//! shop, so building or refreshing a million-shop dataset performs a handful
-//! of allocations instead of O(N). Consumers read rows through the
-//! `*_row`/`temporal_at` accessors; the arenas themselves are private so the
-//! stride contracts below cannot be bypassed.
+//! Storage is segmented and copy-on-write: the per-shop feature rows live in
+//! `Arc`-shared segments of [`SEGMENT_ROWS`] consecutive shops, each one
+//! contiguous block at a fixed per-row stride, rather than one heap object
+//! per shop. Building a million-shop dataset performs O(N / 64)
+//! allocations, cloning a dataset is one `Arc` bump per segment, and an
+//! incremental refresh copies only the segments its rewritten rows land in
+//! (path copying, as in the frozen embedding cache). Consumers read rows
+//! through the `*_row`/`temporal_at` accessors; the segments themselves are
+//! private so the stride contracts below cannot be bypassed.
 
 use crate::config::WorldConfig;
 use crate::world::{month_of_year, Role, World};
@@ -19,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// `ln(1 + max(x, 0))` — the log transform every feature column funnels
 /// through (scaler fits and every normalised cell), kept as the single
@@ -108,13 +112,99 @@ pub struct Splits {
     pub test: Vec<usize>,
 }
 
+/// Shops per copy-on-write feature segment (see [`Dataset`]): rows
+/// `[k·64, (k+1)·64)` share one `Arc`'d block, so a refresh that rewrites
+/// a row copies that row's 64-shop segment and shares every other one with
+/// the previous dataset.
+pub const SEGMENT_ROWS: usize = 64;
+
+/// One shared chunk of [`SEGMENT_ROWS`] consecutive shops' feature rows.
+/// Every row occupies a fixed [`RowLayout::stride`] span of `f32`s —
+/// input series `[T]`, stored aux columns `[T][2]`, statics `[d_s]`,
+/// model-space targets `[T']`, in that order — plus `[T']` raw currency
+/// targets in the `f64` block. Segments are allocated full-size; rows past
+/// the dataset's `n` stay zero until a refresh appends shops into them.
+#[derive(Clone, Debug)]
+struct RowSegment {
+    values: Vec<f32>,
+    targets_raw: Vec<f64>,
+}
+
+/// Offsets of one shop's columns inside its segment row (all in `f32`
+/// elements from the row start, except the `f64` raw targets).
+#[derive(Clone, Copy, Debug)]
+struct RowLayout {
+    t: usize,
+    d_s: usize,
+    horizon: usize,
+}
+
+impl RowLayout {
+    /// `f32` elements per row: series, aux, statics, model-space targets.
+    #[inline]
+    fn stride(self) -> usize {
+        self.t * (1 + D_AUX) + self.d_s + self.horizon
+    }
+
+    #[inline]
+    fn aux_start(self) -> usize {
+        self.t
+    }
+
+    #[inline]
+    fn statics_start(self) -> usize {
+        self.t * (1 + D_AUX)
+    }
+
+    #[inline]
+    fn targets_start(self) -> usize {
+        self.statics_start() + self.d_s
+    }
+
+    fn empty_segment(self) -> RowSegment {
+        RowSegment {
+            values: vec![0.0; SEGMENT_ROWS * self.stride()],
+            targets_raw: vec![0.0; SEGMENT_ROWS * self.horizon],
+        }
+    }
+}
+
+/// Mutable views of one shop's row columns inside its segment, as the
+/// build and refresh passes write them.
+struct RowMut<'a> {
+    series: &'a mut [f32],
+    aux: &'a mut [f32],
+    statics: &'a mut [f32],
+    targets_norm: &'a mut [f32],
+    targets_raw: &'a mut [f64],
+}
+
+impl RowSegment {
+    /// Split row `off`'s spans into its columns.
+    fn row_mut(&mut self, layout: RowLayout, off: usize) -> RowMut<'_> {
+        let stride = layout.stride();
+        let row = &mut self.values[off * stride..(off + 1) * stride];
+        let (series, rest) = row.split_at_mut(layout.t);
+        let (aux, rest) = rest.split_at_mut(layout.t * D_AUX);
+        let (statics, targets_norm) = rest.split_at_mut(layout.d_s);
+        let h = layout.horizon;
+        RowMut {
+            series,
+            aux,
+            statics,
+            targets_norm,
+            targets_raw: &mut self.targets_raw[off * h..(off + 1) * h],
+        }
+    }
+}
+
 /// Model-ready dataset: per-shop input window features and horizon targets,
 /// plus the graph-independent bookkeeping every model shares.
 ///
-/// All feature columns are flat arenas indexed by shop id at fixed strides
-/// (shop `v`'s GMV series is `gmv_norm[v·T .. (v+1)·T]`, its temporal
-/// features `temporal[v·T·d_t .. (v+1)·T·d_t]` row-major `[T][d_t]`, and so
-/// on). Read them through [`Dataset::gmv_row`] and friends.
+/// All per-shop feature columns live in copy-on-write segments of
+/// [`SEGMENT_ROWS`] shops (shop `v` is row `v % 64` of segment `v / 64`,
+/// its columns at fixed offsets inside the row). Read them through
+/// [`Dataset::gmv_row`] and friends.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     /// Number of shops.
@@ -123,28 +213,21 @@ pub struct Dataset {
     pub t: usize,
     /// Forecast horizon `T'`.
     pub horizon: usize,
-    /// Normalised GMV input series arena, `[N·T]`.
-    gmv_norm: Vec<f32>,
-    /// Scaler-dependent auxiliary temporal columns (log-orders,
-    /// log-customers), `[N·T·2]` row-major `[T][2]` per shop. The other
+    /// Feature rows, `ceil(N / SEGMENT_ROWS)` shared segments. Each row
+    /// holds the normalised GMV input series, the scaler-dependent
+    /// auxiliary temporal columns (log-orders, log-customers, `[T][2]`
+    /// row-major), the static features and both target vectors. The other
     /// three temporal features are not stored per shop at all: sin/cos of
     /// the month come from the shared [`Dataset::trig`] table (identical
     /// for every shop) and the observed flag is derived from
     /// [`Dataset::observed_len`] (observed months are a window suffix) —
-    /// see [`Dataset::temporal_at`]. Storing 2 of the 5 columns cuts the
-    /// dominant dataset arena to 40% without changing a single value the
-    /// model sees.
-    aux: Vec<f32>,
+    /// see [`Dataset::temporal_at`]. Storing 2 of the 5 temporal columns
+    /// cuts the dominant part of each row to 40% without changing a single
+    /// value the model sees.
+    rows: Vec<Arc<RowSegment>>,
     /// Month sin/cos table for the input window, `[T]` — shared by every
     /// shop's temporal row.
     trig: Vec<(f32, f32)>,
-    /// Static feature arena, `[N·d_s]`.
-    statics: Vec<f32>,
-    /// Raw currency target arena `[N·T']` (future months).
-    targets_raw: Vec<f64>,
-    /// Model-space target arena `[N·T']` for the MSE loss (positive log
-    /// space, see [`Scaler::normalize_pos`]).
-    targets_norm: Vec<f32>,
     /// Observed months inside the input window per shop (`T` minus leading
     /// zeros) — the Fig 3 grouping key.
     pub observed_len: Vec<usize>,
@@ -212,12 +295,14 @@ pub fn build_dataset(world: &World) -> Dataset {
     // pay it twice — once in the scaler fit and again in `normalize` when
     // the row is written. Unobserved cells stay 0.0 and are never read
     // (the fit and the normalisation pass both start at the first
-    // observed cell).
+    // observed cell). Statics and raw targets go straight into the
+    // segments the dataset will share — no flat staging arena.
     let window = fut_start - in_start;
     let d_s = cfg.n_industries + cfg.n_regions + 2;
+    let layout = RowLayout { t, d_s, horizon };
+    let mut segments: Vec<RowSegment> =
+        (0..n.div_ceil(SEGMENT_ROWS)).map(|_| layout.empty_segment()).collect();
     let mut logs = vec![0.0f64; n * window * 3];
-    let mut statics = vec![0.0f32; n * d_s];
-    let mut targets_raw = vec![0.0f64; n * horizon];
     let mut observed_len = vec![0usize; n];
     for v in 0..n {
         let shop = &world.shops[v];
@@ -230,14 +315,15 @@ pub fn build_dataset(world: &World) -> Dataset {
             logs[cell + 1] = log1p_pos(shop.orders[m]);
             logs[cell + 2] = log1p_pos(shop.customers[m]);
         }
-        let stat = &mut statics[v * d_s..(v + 1) * d_s];
+        let row = segments[v / SEGMENT_ROWS].row_mut(layout, v % SEGMENT_ROWS);
+        let stat = row.statics;
         stat[shop.industry as usize] = 1.0;
         stat[cfg.n_industries + shop.region as usize] = 1.0;
         stat[cfg.n_industries + cfg.n_regions] =
             if shop.role == Role::Supplier { 1.0 } else { 0.0 };
         stat[cfg.n_industries + cfg.n_regions + 1] = observed_len[v].min(t) as f32 / t as f32;
         for (h, m) in (fut_start..fut_start + horizon).enumerate() {
-            targets_raw[v * horizon + h] = shop.gmv[m];
+            row.targets_raw[h] = shop.gmv[m];
         }
     }
 
@@ -280,59 +366,53 @@ pub fn build_dataset(world: &World) -> Dataset {
     let orders_scaler = Scaler::from_moments(means[1], var_sums[1] / count as f64);
     let customers_scaler = Scaler::from_moments(means[2], var_sums[2] / count as f64);
 
-    let mut gmv_norm = vec![0.0f32; n * t];
-    let mut aux = vec![0.0f32; n * t * D_AUX];
-    let mut targets_norm = vec![0.0f32; n * horizon];
-
     // Pass C — normalised columns, streamed entirely from the arenas of
     // pass A (no World access at all): the input series and auxiliary
     // columns from the log arena, the model-space targets from the raw
-    // target arena (the same f64 values pass A copied out of the world,
-    // so `normalize_pos` sees bit-identical inputs). Unobserved cells
-    // keep their zero initialisation, matching `write_node_row`'s
+    // targets pass A stored (the same f64 values it copied out of the
+    // world, so `normalize_pos` sees bit-identical inputs). Unobserved
+    // cells keep their zero initialisation, matching `write_node_row`'s
     // explicit zeros — `refresh_of_unmutated_world_is_identity` pins the
     // build path against the refresh path.
     for v in 0..n {
+        let row = segments[v / SEGMENT_ROWS].row_mut(layout, v % SEGMENT_ROWS);
         let first = window - observed_len[v];
         for i in first..window {
             let cell = (v * window + i) * 3;
-            gmv_norm[v * t + i] = scaler.normalize_log(logs[cell]);
-            aux[(v * t + i) * D_AUX] = orders_scaler.normalize_log(logs[cell + 1]);
-            aux[(v * t + i) * D_AUX + 1] = customers_scaler.normalize_log(logs[cell + 2]);
+            row.series[i] = scaler.normalize_log(logs[cell]);
+            row.aux[i * D_AUX] = orders_scaler.normalize_log(logs[cell + 1]);
+            row.aux[i * D_AUX + 1] = customers_scaler.normalize_log(logs[cell + 2]);
         }
         for h in 0..horizon {
-            targets_norm[v * horizon + h] = scaler.normalize_pos(targets_raw[v * horizon + h]);
+            row.targets_norm[h] = scaler.normalize_pos(row.targets_raw[h]);
         }
     }
     drop(logs);
     let trig = month_trig(cfg);
 
-    let max_model_z = splits
-        .train
-        .iter()
-        .flat_map(|&v| targets_norm[v * horizon..(v + 1) * horizon].iter().copied())
-        .fold(TARGET_SHIFT, f32::max)
-        + 1.0;
-
-    Dataset {
+    let mut ds = Dataset {
         n,
         t,
         horizon,
-        gmv_norm,
-        aux,
+        rows: segments.into_iter().map(Arc::new).collect(),
         trig,
-        statics,
-        targets_raw,
-        targets_norm,
         observed_len,
         scaler,
         orders_scaler,
         customers_scaler,
-        max_model_z,
+        max_model_z: 0.0,
         d_t: D_TEMPORAL,
         d_s,
         splits,
-    }
+    };
+    ds.max_model_z = ds
+        .splits
+        .train
+        .iter()
+        .flat_map(|&v| ds.targets_norm_row(v).iter().copied())
+        .fold(TARGET_SHIFT, f32::max)
+        + 1.0;
+    ds
 }
 
 /// Sin/cos month-of-year table for the input window. Identical for every
@@ -349,25 +429,20 @@ fn month_trig(cfg: &WorldConfig) -> Vec<(f32, f32)> {
 }
 
 /// Compute one shop's dataset row from the world under the given (already
-/// fitted) scalers, writing into the dataset's arena slices. This is the
+/// fitted) scalers, writing into the row's segment spans. This is the
 /// incremental-refresh row path; the full build streams the same values
 /// through its arena passes, and the
 /// `refresh_of_unmutated_world_is_identity` test pins the two paths to
-/// bit-identical output. Every slice element is overwritten (statics via
+/// bit-identical output. Every span element is overwritten (statics via
 /// an explicit fill), so stale refresh targets cannot leak through.
 /// Returns the observed window length.
-#[allow(clippy::too_many_arguments)]
 fn write_node_row(
     world: &World,
     v: usize,
     scaler: &Scaler,
     orders_scaler: &Scaler,
     customers_scaler: &Scaler,
-    series: &mut [f32],
-    aux: &mut [f32],
-    stat: &mut [f32],
-    raw: &mut [f64],
-    norm: &mut [f32],
+    out: RowMut<'_>,
 ) -> usize {
     let cfg = &world.config;
     let t = cfg.input_window;
@@ -376,11 +451,12 @@ fn write_node_row(
     let shop = &world.shops[v];
     for (row, m) in (in_start..fut_start).enumerate() {
         let observed = m >= shop.opened;
-        series[row] = if observed { scaler.normalize(shop.gmv[m]) } else { 0.0 };
-        let a = &mut aux[row * D_AUX..(row + 1) * D_AUX];
+        out.series[row] = if observed { scaler.normalize(shop.gmv[m]) } else { 0.0 };
+        let a = &mut out.aux[row * D_AUX..(row + 1) * D_AUX];
         a[0] = if observed { orders_scaler.normalize(shop.orders[m]) } else { 0.0 };
         a[1] = if observed { customers_scaler.normalize(shop.customers[m]) } else { 0.0 };
     }
+    let stat = out.statics;
     stat.fill(0.0);
     stat[shop.industry as usize] = 1.0;
     stat[cfg.n_industries + shop.region as usize] = 1.0;
@@ -391,8 +467,8 @@ fn write_node_row(
     stat[cfg.n_industries + cfg.n_regions + 1] = obs as f32 / t as f32;
 
     for (h, m) in (fut_start..fut_start + cfg.horizon).enumerate() {
-        raw[h] = shop.gmv[m];
-        norm[h] = scaler.normalize_pos(shop.gmv[m]);
+        out.targets_raw[h] = shop.gmv[m];
+        out.targets_norm[h] = scaler.normalize_pos(shop.gmv[m]);
     }
     obs
 }
@@ -408,6 +484,13 @@ fn write_node_row(
 /// would silently shift. New nodes (`prev.n..world.shops.len()`) are always
 /// recomputed and join the test split: they were never seen in training.
 ///
+/// Copy-on-write: the result starts as an `Arc` bump of every segment of
+/// `prev`, and only the segments a recomputed row lands in are copied
+/// (`Arc::make_mut`) before the write — `prev` itself is never modified,
+/// and every other segment stays the same allocation in both datasets
+/// (observable through [`Dataset::segment_addr`]). Appended shops fill the
+/// last segment's spare rows, then new segments.
+///
 /// Because rows are pure per-node functions of `(world, frozen scalers)`,
 /// the result is bit-identical to [`refresh_dataset_full`] whenever `dirty`
 /// covers every node whose shop data changed — the feature-space half of the
@@ -417,13 +500,8 @@ pub fn refresh_dataset(world: &World, prev: &Dataset, dirty: &[u32]) -> Dataset 
     assert!(n >= prev.n, "refresh_dataset: worlds only grow (n={n} < prev {})", prev.n);
     let mut ds = prev.clone();
     ds.n = n;
-    let (t, horizon, d_s) = (ds.t, ds.horizon, ds.d_s);
-    let ta = t * D_AUX;
-    ds.gmv_norm.resize(n * t, 0.0);
-    ds.aux.resize(n * ta, 0.0);
-    ds.statics.resize(n * d_s, 0.0);
-    ds.targets_raw.resize(n * horizon, 0.0);
-    ds.targets_norm.resize(n * horizon, 0.0);
+    let layout = ds.layout();
+    ds.rows.resize_with(n.div_ceil(SEGMENT_ROWS), || Arc::new(layout.empty_segment()));
     ds.observed_len.resize(n, 0);
     for v in prev.n..n {
         ds.splits.test.push(v);
@@ -432,17 +510,14 @@ pub fn refresh_dataset(world: &World, prev: &Dataset, dirty: &[u32]) -> Dataset 
         (ds.scaler, ds.orders_scaler, ds.customers_scaler);
     let recompute = dirty.iter().map(|&v| v as usize).filter(|&v| v < prev.n).chain(prev.n..n);
     for v in recompute {
+        let seg = Arc::make_mut(&mut ds.rows[v / SEGMENT_ROWS]);
         let obs = write_node_row(
             world,
             v,
             &scaler,
             &orders_scaler,
             &customers_scaler,
-            &mut ds.gmv_norm[v * t..(v + 1) * t],
-            &mut ds.aux[v * ta..(v + 1) * ta],
-            &mut ds.statics[v * d_s..(v + 1) * d_s],
-            &mut ds.targets_raw[v * horizon..(v + 1) * horizon],
-            &mut ds.targets_norm[v * horizon..(v + 1) * horizon],
+            seg.row_mut(layout, v % SEGMENT_ROWS),
         );
         ds.observed_len[v] = obs;
     }
@@ -468,42 +543,77 @@ pub fn refresh_dataset_full(world: &World, prev: &Dataset) -> Dataset {
 /// so `NaN`s compare unequal and force a recompute — the conservative
 /// direction.
 pub fn node_row_unchanged(a: &Dataset, b: &Dataset, v: usize) -> bool {
-    // The stored aux columns plus `observed_len` fully determine the
-    // temporal row (sin/cos come from the shared trig table, the observed
-    // flag from `observed_len`), so comparing them covers all of `d_t`.
-    a.gmv_row(v) == b.gmv_row(v)
-        && a.observed_len[v] == b.observed_len[v]
-        && a.aux_row(v) == b.aux_row(v)
-        && a.statics_row(v) == b.statics_row(v)
+    // The stored row (series, aux columns, statics, model-space targets)
+    // plus the raw targets and `observed_len` fully determine every
+    // accessor: sin/cos come from the shared trig table, the observed flag
+    // from `observed_len`, so comparing them covers all of `d_t`.
+    a.row(v) == b.row(v)
         && a.targets_raw_row(v) == b.targets_raw_row(v)
-        && a.targets_norm_row(v) == b.targets_norm_row(v)
+        && a.observed_len[v] == b.observed_len[v]
 }
 
 impl Dataset {
+    /// Row layout shared by every segment of this dataset.
+    #[inline]
+    fn layout(&self) -> RowLayout {
+        RowLayout { t: self.t, d_s: self.d_s, horizon: self.horizon }
+    }
+
+    /// Shop `v`'s whole stored `f32` row (see [`RowSegment`]).
+    #[inline]
+    fn row(&self, v: usize) -> &[f32] {
+        assert!(v < self.n, "shop {v} out of range (n = {})", self.n);
+        let stride = self.layout().stride();
+        let off = v % SEGMENT_ROWS * stride;
+        &self.rows[v / SEGMENT_ROWS].values[off..off + stride]
+    }
+
+    /// Segment index holding shop `v`'s row.
+    pub fn segment_of(v: usize) -> usize {
+        v / SEGMENT_ROWS
+    }
+
+    /// Number of feature-row segments.
+    pub fn segment_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Stable address of feature segment `seg`'s storage, if it exists.
+    /// Two datasets returning the same address for a segment **share**
+    /// that segment's heap allocation — the observable the copy-on-write
+    /// refresh tests pin (mirrors `EmbedCache::segment_addr` in
+    /// `gaia-core`).
+    pub fn segment_addr(&self, seg: usize) -> Option<usize> {
+        self.rows.get(seg).map(|arc| Arc::as_ptr(arc) as usize)
+    }
+
     /// Normalised GMV input series of shop `v` (length `T`).
     #[inline]
     pub fn gmv_row(&self, v: usize) -> &[f32] {
-        &self.gmv_norm[v * self.t..(v + 1) * self.t]
+        &self.row(v)[..self.t]
     }
 
     /// Mutable view of shop `v`'s input series (ablations and tests that
-    /// perturb inputs in place).
+    /// perturb inputs in place). Copies `v`'s segment first if it is
+    /// shared with another dataset, so clones never observe the write.
     #[inline]
     pub fn gmv_row_mut(&mut self, v: usize) -> &mut [f32] {
-        &mut self.gmv_norm[v * self.t..(v + 1) * self.t]
+        let layout = self.layout();
+        let seg = Arc::make_mut(&mut self.rows[v / SEGMENT_ROWS]);
+        seg.row_mut(layout, v % SEGMENT_ROWS).series
     }
 
     /// Stored auxiliary temporal columns of shop `v`: `T·2` values,
     /// row-major `[T][2]` (log-orders, log-customers).
     #[inline]
     fn aux_row(&self, v: usize) -> &[f32] {
-        let ta = self.t * D_AUX;
-        &self.aux[v * ta..(v + 1) * ta]
+        let layout = self.layout();
+        &self.row(v)[layout.aux_start()..layout.statics_start()]
     }
 
     /// Temporal feature `k` of input-window row `row` for shop `v`.
     /// Columns 0/1 (month sin/cos) come from the shared trig table,
-    /// columns 2/3 from the stored aux arena, and column 4 (observed
+    /// columns 2/3 from the stored aux columns, and column 4 (observed
     /// flag) from `observed_len` — observed months are always a suffix of
     /// the input window, so `row` is observed iff `row ≥ T − observed`.
     #[inline]
@@ -512,7 +622,7 @@ impl Dataset {
         match k {
             0 => self.trig[row].0,
             1 => self.trig[row].1,
-            2 | 3 => self.aux[(v * self.t + row) * D_AUX + (k - 2)],
+            2 | 3 => self.aux_row(v)[row * D_AUX + (k - 2)],
             _ => {
                 if row >= self.t - self.observed_len[v].min(self.t) {
                     1.0
@@ -526,18 +636,19 @@ impl Dataset {
     /// Materialise the full `[T][d_t]` temporal feature row of shop `v`
     /// into `out` (length `T·d_t`) — the layout [`Dataset::temporal_at`]
     /// indexes into. Model input builders write this straight into pooled
-    /// tape buffers (`Graph::constant_fill`), so dropping the per-shop
-    /// temporal arena did not add a heap allocation to the hot path.
+    /// tape buffers (`Graph::constant_fill`), so not storing the full
+    /// temporal row per shop did not add a heap allocation to the hot path.
     pub fn write_temporal_row(&self, v: usize, out: &mut [f32]) {
         assert_eq!(out.len(), self.t * self.d_t);
         let first = self.t - self.observed_len[v].min(self.t);
+        let aux = self.aux_row(v);
         for row in 0..self.t {
             let o = &mut out[row * D_TEMPORAL..(row + 1) * D_TEMPORAL];
             let (sin_m, cos_m) = self.trig[row];
             o[0] = sin_m;
             o[1] = cos_m;
-            o[2] = self.aux[(v * self.t + row) * D_AUX];
-            o[3] = self.aux[(v * self.t + row) * D_AUX + 1];
+            o[2] = aux[row * D_AUX];
+            o[3] = aux[row * D_AUX + 1];
             o[4] = if row >= first { 1.0 } else { 0.0 };
         }
     }
@@ -545,38 +656,46 @@ impl Dataset {
     /// Static features of shop `v` (length `d_s`).
     #[inline]
     pub fn statics_row(&self, v: usize) -> &[f32] {
-        &self.statics[v * self.d_s..(v + 1) * self.d_s]
+        let layout = self.layout();
+        &self.row(v)[layout.statics_start()..layout.targets_start()]
     }
 
     /// Raw currency targets of shop `v` (length `T'`).
     #[inline]
     pub fn targets_raw_row(&self, v: usize) -> &[f64] {
-        &self.targets_raw[v * self.horizon..(v + 1) * self.horizon]
+        assert!(v < self.n, "shop {v} out of range (n = {})", self.n);
+        let off = v % SEGMENT_ROWS * self.horizon;
+        &self.rows[v / SEGMENT_ROWS].targets_raw[off..off + self.horizon]
     }
 
     /// Model-space targets of shop `v` (length `T'`).
     #[inline]
     pub fn targets_norm_row(&self, v: usize) -> &[f32] {
-        &self.targets_norm[v * self.horizon..(v + 1) * self.horizon]
+        &self.row(v)[self.layout().targets_start()..]
     }
 
     /// Approximate resident heap bytes of the feature store: every heap
     /// block's `capacity × element size` plus a 16-byte per-allocation
     /// overhead (allocator header/rounding). Inline struct headers are
     /// counted as part of their parent block. The world-scale bench tracks
-    /// this figure versus `n_shops`; the flat arenas make it six
-    /// allocations plus the splits regardless of `N`.
+    /// this figure versus `n_shops`: three allocations per
+    /// [`SEGMENT_ROWS`]-shop segment (the `Arc` and its two blocks), plus
+    /// the flat `observed_len` and splits. Segments shared with another
+    /// dataset are counted in full — this is the store's footprint, not
+    /// what a refresh copied.
     pub fn approx_heap_bytes(&self) -> usize {
         const OVH: usize = 16;
         fn vec_bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>() + OVH
         }
-        vec_bytes(&self.gmv_norm)
-            + vec_bytes(&self.aux)
+        let segments: usize = self
+            .rows
+            .iter()
+            .map(|seg| OVH + vec_bytes(&seg.values) + vec_bytes(&seg.targets_raw))
+            .sum();
+        vec_bytes(&self.rows)
+            + segments
             + vec_bytes(&self.trig)
-            + vec_bytes(&self.statics)
-            + vec_bytes(&self.targets_raw)
-            + vec_bytes(&self.targets_norm)
             + vec_bytes(&self.observed_len)
             + vec_bytes(&self.splits.train)
             + vec_bytes(&self.splits.val)
@@ -881,6 +1000,128 @@ mod tests {
         // bit-identical row — the skip test must see through it.
         let remark = refresh_dataset(&world, &fresh, &[5]);
         assert!(node_row_unchanged(&remark, &fresh, 5));
+    }
+
+    fn multi_segment() -> (World, Dataset) {
+        generate_dataset(WorldConfig { n_shops: 300, ..WorldConfig::default() })
+    }
+
+    /// Owned copy of every accessor-visible value of a dataset, to prove
+    /// a later refresh did not touch it.
+    fn snapshot_bits(ds: &Dataset) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut trow = vec![0.0f32; ds.t * ds.d_t];
+        for v in 0..ds.n {
+            ds.write_temporal_row(v, &mut trow);
+            let f32s = ds.gmv_row(v).iter().chain(&trow).chain(ds.statics_row(v));
+            out.extend(f32s.chain(ds.targets_norm_row(v)).map(|x| x.to_bits() as u64));
+            out.extend(ds.targets_raw_row(v).iter().map(|x| x.to_bits()));
+            out.push(ds.observed_len[v] as u64);
+        }
+        out
+    }
+
+    fn bump_sales(world: &mut World, v: u32, base: f64) {
+        use crate::mutate::MonthlySales;
+        let window: Vec<MonthlySales> = (0..world.config.horizon + 3)
+            .map(|i| MonthlySales { gmv: base + i as f64, orders: 90.0, customers: 60.0 })
+            .collect();
+        world.record_sales(v, &window);
+    }
+
+    /// Copy-on-write: refreshing (including growth and `gmv_row_mut` on the
+    /// result) never changes a bit of the dataset it was refreshed from.
+    #[test]
+    fn refresh_leaves_the_previous_dataset_bit_identical() {
+        use crate::mutate::NewShop;
+        let (mut world, ds) = multi_segment();
+        let before = snapshot_bits(&ds);
+        bump_sales(&mut world, 7, 5e4);
+        bump_sales(&mut world, 200, 6e4);
+        world.add_shop(NewShop { industry: 0, region: 0, role: Role::Retailer, owner: 0, lead: 0 });
+        let dirty = world.take_dirty();
+        let mut next = refresh_dataset(&world, &ds, dirty.nodes());
+        next.gmv_row_mut(100)[0] = 123.0;
+        assert_ne!(next.gmv_row(7), ds.gmv_row(7));
+        assert_eq!(snapshot_bits(&ds), before);
+    }
+
+    /// A refresh reallocates exactly the segments its dirty rows land in;
+    /// every other segment is the previous dataset's allocation.
+    #[test]
+    fn refresh_copies_only_the_dirty_rows_segments() {
+        let (mut world, ds) = multi_segment();
+        assert!(ds.segment_count() >= 4, "test needs several segments");
+        for v in [3, 5, 2 * SEGMENT_ROWS as u32 + 1] {
+            bump_sales(&mut world, v, 4e4 + v as f64);
+        }
+        let dirty = world.take_dirty();
+        let next = refresh_dataset(&world, &ds, dirty.nodes());
+        let touched: Vec<usize> =
+            dirty.nodes().iter().map(|&v| Dataset::segment_of(v as usize)).collect();
+        assert!((0..ds.segment_count()).any(|seg| !touched.contains(&seg)));
+        assert_eq!(next.segment_count(), ds.segment_count());
+        for seg in 0..ds.segment_count() {
+            if touched.contains(&seg) {
+                assert_ne!(
+                    next.segment_addr(seg),
+                    ds.segment_addr(seg),
+                    "segment {seg} not copied"
+                );
+            } else {
+                assert_eq!(next.segment_addr(seg), ds.segment_addr(seg), "segment {seg} copied");
+            }
+        }
+        // A clone shares everything; a no-op refresh does too.
+        let clone = ds.clone();
+        let noop = refresh_dataset(&world, &next, &[]);
+        for seg in 0..ds.segment_count() {
+            assert_eq!(clone.segment_addr(seg), ds.segment_addr(seg));
+            assert_eq!(noop.segment_addr(seg), next.segment_addr(seg));
+        }
+    }
+
+    /// Growing the world across a segment boundary, from a dataset whose
+    /// last segment is partly filled (`n % 64 != 0`), matches
+    /// `build_dataset` of the grown world row for row. The fresh build fits
+    /// its own scalers, so its normalised columns are compared after a
+    /// full refresh under the grown dataset's frozen statistics — a
+    /// rewrite of every row in the fresh build's own segment layout.
+    #[test]
+    fn growth_across_a_segment_boundary_matches_a_fresh_build() {
+        use crate::mutate::NewShop;
+        let (mut world, ds) = multi_segment();
+        assert_ne!(ds.n % SEGMENT_ROWS, 0, "test needs a partial tail segment");
+        let grow = SEGMENT_ROWS - ds.n % SEGMENT_ROWS + 5;
+        for i in 0..grow {
+            let owner = world.shops[i].owner;
+            let role = if i % 2 == 0 { Role::Retailer } else { Role::Supplier };
+            world.add_shop(NewShop { industry: (i % 3) as u16, region: 1, role, owner, lead: 1 });
+        }
+        let dirty = world.take_dirty();
+        let grown = refresh_dataset(&world, &ds, dirty.nodes());
+        assert_eq!(grown.n, ds.n + grow);
+        assert_eq!(grown.segment_count(), grown.n.div_ceil(SEGMENT_ROWS));
+        assert_eq!(grown.segment_count(), ds.segment_count() + 1);
+        assert!((ds.n..grown.n).all(|v| grown.splits.test.contains(&v)));
+        let mut fresh = build_dataset(&world);
+        for v in 0..grown.n {
+            assert_eq!(grown.statics_row(v), fresh.statics_row(v), "statics row {v}");
+            assert_eq!(grown.targets_raw_row(v), fresh.targets_raw_row(v), "raw targets row {v}");
+            assert_eq!(grown.observed_len[v], fresh.observed_len[v], "observed_len row {v}");
+        }
+        fresh.scaler = ds.scaler;
+        fresh.orders_scaler = ds.orders_scaler;
+        fresh.customers_scaler = ds.customers_scaler;
+        let fresh = refresh_dataset_full(&world, &fresh);
+        let (mut a, mut b) = (vec![0.0f32; ds.t * ds.d_t], vec![0.0f32; ds.t * ds.d_t]);
+        for v in 0..grown.n {
+            assert_eq!(grown.gmv_row(v), fresh.gmv_row(v), "gmv row {v}");
+            grown.write_temporal_row(v, &mut a);
+            fresh.write_temporal_row(v, &mut b);
+            assert_eq!(a, b, "temporal row {v}");
+            assert_eq!(grown.targets_norm_row(v), fresh.targets_norm_row(v), "targets row {v}");
+        }
     }
 
     #[test]

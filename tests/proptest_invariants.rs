@@ -711,7 +711,7 @@ proptest! {
 
     /// PUBLISH PARITY WALL — the batched publish path is a pure
     /// performance rewrite of the per-node reference: for random worlds
-    /// (sized to straddle the 64-node cache segment boundary) and random
+    /// (sized to straddle cache segment boundaries) and random
     /// block sizes (including the degenerate `B = 1` and sizes that leave
     /// a ragged tail, `ds.n % B != 0`), the rank-3 block driver must
     /// reproduce every frozen lane — the embedding plus all five layer-0
