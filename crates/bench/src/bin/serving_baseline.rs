@@ -28,7 +28,9 @@ use gaia_bench::bench_world;
 use gaia_core::trainer::TrainConfig;
 use gaia_core::GaiaConfig;
 use gaia_graph::EgoConfig;
-use gaia_serving::{linearity_r2, ModelServer, OfflinePipeline, ServeStats, ShardedModelServer};
+use gaia_serving::{
+    linearity_r2, ModelServer, OfflinePipeline, ServeConfig, ServeStats, ShardedModelServer,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -147,13 +149,14 @@ fn main() {
 
     let shops: Vec<usize> = (0..400).map(|i| i % n).collect();
     // Warm up caches/allocator before measuring (both paths).
-    let _ = server.predict_many(&shops[..50], 2);
-    let _ = server.predict_many_batched(&shops[..50], 1, 8);
+    let _ = server.serve(&shops[..50], ServeConfig { workers: 2, micro_batch: 1 });
+    let _ = server.serve(&shops[..50], ServeConfig { workers: 1, micro_batch: 8 });
 
     let mut runs = Vec::new();
     let mut batch1_per_second = 0.0;
     for workers in [1usize, 2, 4, 8] {
-        let stats = best_of_three(|| server.predict_many(&shops, workers).1);
+        let stats =
+            best_of_three(|| server.serve(&shops, ServeConfig { workers, micro_batch: 1 }).1);
         println!(
             "workers={workers:<2} mb=1  requests={} seconds={:.3} per_second={:.1} \
              p50={:.2}ms p95={:.2}ms p99={:.2}ms per_worker={:?}",
@@ -176,7 +179,8 @@ fn main() {
     let mut best_micro_batch = 1;
     let mut best_seconds = 0.0;
     for micro_batch in [1usize, 2, 4, 8, 16] {
-        let stats = best_of_three(|| server.predict_many_batched(&shops, 1, micro_batch).1);
+        let stats =
+            best_of_three(|| server.serve(&shops, ServeConfig { workers: 1, micro_batch }).1);
         println!(
             "workers=1  mb={micro_batch:<2} requests={} seconds={:.3} per_second={:.1} \
              p50={:.2}ms p99={:.2}ms batches={:?}",
@@ -233,9 +237,9 @@ fn main() {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let baseline = Baseline {
         description: format!(
-            "ServeStats throughput/latency for ModelServer::predict_many across a \
+            "ServeStats throughput/latency for ModelServer::serve across a \
              1/2/4/8-worker sweep (micro-batch 1, comparable to BENCH_pr3) plus the \
-             single-worker micro-batch sweep (predict_many_batched, 1/2/4/8/16 \
+             single-worker micro-batch sweep (micro_batch 1/2/4/8/16 \
              requests per tape, comparable to BENCH_pr4) on the shared bench world \
              (200 shops, 1-epoch offline cycle, seed 7/42); epoch-snapshot server, \
              per-worker inference contexts, kernel layer with pooled zero-alloc \

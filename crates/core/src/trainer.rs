@@ -297,9 +297,13 @@ impl InferenceScratch {
     }
 }
 
-/// Predict one centre reusing `scratch`'s tape, ego workspace and embedding
-/// cache. Ego sampling is seeded per node (thread-count invariant) and
-/// cached embeddings are bit-identical to freshly computed ones, so the
+/// Predict one centre through the per-request forward
+/// ([`GraphForecaster::forward_center_cached`]), reusing `scratch`'s tape,
+/// ego workspace and embedding cache. It never reads the layer-0 projection
+/// cache, so it is the reference the batched path
+/// ([`predict_batch_with`], which every serving and eval path calls) is
+/// checked against. Ego sampling is seeded per node (thread-count invariant)
+/// and cached embeddings are bit-identical to freshly computed ones, so the
 /// result equals [`predict_nodes`]'s for the same `seed`.
 pub fn predict_one_with<M: GraphForecaster + ?Sized>(
     model: &M,
@@ -331,12 +335,16 @@ pub fn predict_one_with<M: GraphForecaster + ?Sized>(
 /// hoisted projections, fused causal attention and a single stacked
 /// prediction-head GEMM across the batch.
 ///
+/// Every batch size takes this path, one included: a lone request reads
+/// the publish-time layer-0 projections from the cache just as a full
+/// micro-batch does.
+///
 /// **Parity contract** (pinned by `tests/proptest_invariants.rs` for batch
 /// sizes 1..=16 and by the committed golden fixtures): the result is
 /// element-wise bit-identical to calling [`predict_one_with`] in a loop
-/// with the same `seed` and scratch. A batch of one IS that loop — it
-/// delegates to [`predict_one_with`] directly, so the seed-frozen
-/// `BENCH_*` baselines stay comparable at batch size 1.
+/// with the same `seed` on a fresh scratch. A publish-time cache keeps
+/// that on the f32 tier; under `embed-f16` its frozen projections are
+/// binary16, so there the two agree within that tier's budget.
 pub fn predict_batch_with<M: GraphForecaster + ?Sized>(
     model: &M,
     ds: &Dataset,
@@ -345,47 +353,48 @@ pub fn predict_batch_with<M: GraphForecaster + ?Sized>(
     seed: u64,
     scratch: &mut InferenceScratch,
 ) -> Vec<Prediction> {
-    match centers {
-        [] => Vec::new(),
-        &[center] => vec![predict_one_with(model, ds, graph, center, seed, scratch)],
-        _ => {
-            let ego_cfg = model.ego_config();
-            if scratch.ego_batch.len() < centers.len() {
-                scratch.ego_batch.resize_with(centers.len(), EgoScratch::new);
-            }
-            let InferenceScratch { tape, ego_batch, cache, .. } = scratch;
-            let egos: Vec<&EgoSubgraph> = ego_batch
-                .iter_mut()
-                .zip(centers)
-                .map(|(slot, &center)| {
-                    // Same per-centre seeding as predict_one_with, so the
-                    // sampled subgraphs are identical.
-                    let mut rng = StdRng::seed_from_u64(per_node_seed(seed, center));
-                    extract_ego_into(graph, center, &ego_cfg, &mut rng, slot)
-                })
-                .collect();
-            tape.reset();
-            let preds = model.forward_centers_cached(tape, ds, &egos, cache);
-            debug_assert_eq!(preds.len(), centers.len());
-            centers
-                .iter()
-                .zip(preds)
-                .map(|(&center, pred)| {
-                    let t = tape.value(pred);
-                    Prediction {
-                        node: center,
-                        model_space: t.data().to_vec(),
-                        currency: ds.denormalize_prediction(t),
-                    }
-                })
-                .collect()
-        }
+    if centers.is_empty() {
+        return Vec::new();
     }
+    let ego_cfg = model.ego_config();
+    if scratch.ego_batch.len() < centers.len() {
+        scratch.ego_batch.resize_with(centers.len(), EgoScratch::new);
+    }
+    let InferenceScratch { tape, ego_batch, cache, .. } = scratch;
+    let egos: Vec<&EgoSubgraph> = ego_batch
+        .iter_mut()
+        .zip(centers)
+        .map(|(slot, &center)| {
+            // Same per-centre seeding as predict_one_with, so the sampled
+            // subgraphs are identical.
+            let mut rng = StdRng::seed_from_u64(per_node_seed(seed, center));
+            extract_ego_into(graph, center, &ego_cfg, &mut rng, slot)
+        })
+        .collect();
+    tape.reset();
+    let preds = model.forward_centers_cached(tape, ds, &egos, cache);
+    debug_assert_eq!(preds.len(), centers.len());
+    centers
+        .iter()
+        .zip(preds)
+        .map(|(&center, pred)| {
+            let t = tape.value(pred);
+            Prediction {
+                node: center,
+                model_space: t.data().to_vec(),
+                currency: ds.denormalize_prediction(t),
+            }
+        })
+        .collect()
 }
 
 /// Predict a set of centres in parallel. Ego sampling is seeded per node so
 /// predictions are reproducible for any thread count. Each worker reuses one
-/// [`InferenceScratch`] across its whole chunk.
+/// [`InferenceScratch`] across its whole chunk and serves it one centre per
+/// tape through [`predict_batch_with`]. Larger batches would not pay here:
+/// the scratch starts with an empty cache, so a tape holds every ego node's
+/// embedding subgraph, and eight egos per tape roughly doubled the peak
+/// memory of a training run's validation pass.
 pub fn predict_nodes<M: GraphForecaster + ?Sized>(
     model: &M,
     ds: &Dataset,
@@ -404,8 +413,8 @@ pub fn predict_nodes<M: GraphForecaster + ?Sized>(
                     let mut scratch = InferenceScratch::new();
                     chunk
                         .iter()
-                        .map(|&center| {
-                            predict_one_with(model, ds, graph, center, seed, &mut scratch)
+                        .flat_map(|&center| {
+                            predict_batch_with(model, ds, graph, &[center], seed, &mut scratch)
                         })
                         .collect::<Vec<_>>()
                 })
@@ -622,25 +631,29 @@ mod tests {
 
     /// The batched mirror of the PR-3 zero-alloc contract: after a warm-up
     /// batch, repeated batched requests on the reused tape allocate zero
-    /// fresh tensor buffers.
+    /// fresh tensor buffers — a batch of one included, since it runs on the
+    /// same batched tape.
     #[test]
     fn steady_state_batched_inference_allocates_zero_fresh_buffers() {
         let (world, ds, model) = tiny_setup();
-        let mut scratch = InferenceScratch::new();
         let nodes: Vec<usize> = ds.splits.test.iter().take(4).copied().collect();
-        let first = predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &mut scratch);
-        let _second = predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &mut scratch);
-        let warm = scratch.tape_fresh_allocs();
-        for _ in 0..5 {
-            let again = predict_batch_with(&model, &ds, &world.graph, &nodes, 42, &mut scratch);
-            for (a, b) in again.iter().zip(&first) {
-                assert_eq!(a.model_space, b.model_space, "steady state changed the answer");
+        for bs in [1usize, 4] {
+            let batch = &nodes[..bs];
+            let mut scratch = InferenceScratch::new();
+            let first = predict_batch_with(&model, &ds, &world.graph, batch, 42, &mut scratch);
+            let _second = predict_batch_with(&model, &ds, &world.graph, batch, 42, &mut scratch);
+            let warm = scratch.tape_fresh_allocs();
+            for _ in 0..5 {
+                let again = predict_batch_with(&model, &ds, &world.graph, batch, 42, &mut scratch);
+                for (a, b) in again.iter().zip(&first) {
+                    assert_eq!(a.model_space, b.model_space, "steady state changed the answer");
+                }
+                assert_eq!(
+                    scratch.tape_fresh_allocs(),
+                    warm,
+                    "steady-state batched pass of {bs} allocated a fresh tensor buffer"
+                );
             }
-            assert_eq!(
-                scratch.tape_fresh_allocs(),
-                warm,
-                "steady-state batched pass allocated a fresh tensor buffer"
-            );
         }
     }
 

@@ -7,7 +7,7 @@
 use gaia_core::trainer::{predict_nodes, train};
 use gaia_core::GaiaConfig;
 use gaia_eval::{dump_json, metrics_overall, HarnessConfig};
-use gaia_serving::{linearity_r2, ModelServer, OfflinePipeline};
+use gaia_serving::{linearity_r2, ModelServer, OfflinePipeline, ServeConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -47,7 +47,8 @@ fn main() {
     let server =
         std::sync::Arc::new(ModelServer::new(&artifact, world.graph.clone(), ds.clone(), cfg.seed));
     let newcomers = ds.splits.test.clone();
-    let (gaia_preds, stats) = server.predict_many(&newcomers, cfg.train.threads);
+    let (gaia_preds, stats) =
+        server.serve(&newcomers, ServeConfig { workers: cfg.train.threads, micro_batch: 1 });
     let lt_preds =
         predict_nodes(&logtrans, &ds, &world.graph, &newcomers, cfg.seed, cfg.train.threads);
 

@@ -19,7 +19,8 @@ pub mod swap;
 
 pub use offline::{ModelArtifact, OfflinePipeline};
 pub use server::{
-    linearity_r2, DeltaPublishStats, InferenceContext, ModelServer, ModelSnapshot, ServeStats,
+    linearity_r2, DeltaPublishStats, InferenceContext, ModelServer, ModelSnapshot, ServeConfig,
+    ServeStats,
 };
 pub use shard::{ShardSnapshot, ShardedModelServer};
 pub use swap::{Swap, SwapReader};

@@ -12,7 +12,7 @@
 
 use crate::offline::ModelArtifact;
 use crate::swap::{Swap, SwapReader};
-use gaia_core::trainer::{predict_batch_with, predict_one_with, InferenceScratch, Prediction};
+use gaia_core::trainer::{predict_batch_with, InferenceScratch, Prediction};
 use gaia_core::{EmbedCache, Gaia, GraphForecaster};
 use gaia_graph::{dirty_closure, EsellerGraph};
 use gaia_synth::{
@@ -90,8 +90,18 @@ pub struct ModelServer {
     seed: u64,
 }
 
-/// Latency/throughput measurement returned by the batch serving paths
-/// ([`ModelServer::predict_many`] and [`ModelServer::serve_stream`]).
+/// How [`ModelServer::serve`] runs a request slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ServeConfig {
+    /// Worker threads, each with its own [`InferenceContext`]. Clamped to
+    /// `[1, requests]`.
+    pub workers: usize,
+    /// Most queued requests a worker packs onto one tape. Clamped to
+    /// `[1, requests]`; `1` serves every request on a tape of its own.
+    pub micro_batch: usize,
+}
+
+/// Latency/throughput measurement returned by [`ModelServer::serve`].
 ///
 /// Latencies are measured per request **from enqueue** (queue wait plus
 /// service time), so percentile figures reflect what a client would see,
@@ -173,36 +183,25 @@ pub struct InferenceContext<'srv> {
 
 impl InferenceContext<'_> {
     /// Serve one prediction on the current snapshot, reusing this context's
-    /// scratch buffers. Picks up a newly published model automatically; a
-    /// hot swap invalidates the context's cached node embeddings.
+    /// scratch buffers: a micro-batch of one through
+    /// [`InferenceContext::predict_batch`].
     pub fn predict(&mut self, shop: usize) -> Prediction {
-        let (snap, epoch) = self.reader.get_with_epoch();
-        if epoch != self.cache_epoch {
-            // New snapshot: drop stale embeddings and install the
-            // publish-time precomputed ones from the snapshot itself.
-            self.scratch.install_embed_cache(snap.embeddings.clone());
-            self.cache_epoch = epoch;
-        }
-        let pred = predict_one_with(
-            &snap.model,
-            &snap.ds,
-            &snap.graph,
-            shop,
-            self.server.seed,
-            &mut self.scratch,
-        );
-        self.served += 1;
-        pred
+        self.predict_batch(&[shop]).pop().expect("one prediction per request")
     }
 
     /// Serve one micro-batch of predictions on the current snapshot: the
     /// whole batch shares one snapshot revalidation, one tape reset and
-    /// one packed forward pass ([`predict_batch_with`]). Results are
+    /// one packed forward pass ([`predict_batch_with`]) that reads the
+    /// publish-time embeddings and layer-0 projections. Results are
     /// element-wise identical to calling [`InferenceContext::predict`] per
-    /// shop — a batch of one *is* that path.
+    /// shop, which is a batch of one on this same path. Picks up a newly
+    /// published model automatically; a hot swap replaces the context's
+    /// cached node embeddings.
     pub fn predict_batch(&mut self, shops: &[usize]) -> Vec<Prediction> {
         let (snap, epoch) = self.reader.get_with_epoch();
         if epoch != self.cache_epoch {
+            // New snapshot: drop stale embeddings and install the
+            // publish-time precomputed ones from the snapshot itself.
             self.scratch.install_embed_cache(snap.embeddings.clone());
             self.cache_epoch = epoch;
         }
@@ -402,24 +401,19 @@ impl ModelServer {
         self.inference_context().predict(shop)
     }
 
-    /// The shared worker-pool request path: fan `shops` out over `workers`
+    /// The worker-pool request path: fan `shops` out over `cfg.workers`
     /// threads through a channel, each worker serving through its own
-    /// [`InferenceContext`]. With `micro_batch > 1` a worker drains up to
-    /// that many queued requests per tape and serves them through one
-    /// packed batched forward pass; `micro_batch == 1` is the exact
-    /// one-request-per-tape-reset path previous PRs benchmarked. Returns
-    /// predictions in request order plus latency/throughput statistics.
-    fn serve_batch(
-        &self,
-        shops: &[usize],
-        workers: usize,
-        micro_batch: usize,
-    ) -> (Vec<Prediction>, ServeStats) {
-        let workers = workers.clamp(1, shops.len().max(1));
+    /// [`InferenceContext`]. A worker drains up to `cfg.micro_batch` queued
+    /// requests per tape and serves them through one packed forward pass;
+    /// a cap of 1 gives every request a tape of its own on the same path.
+    /// Returns predictions in request order plus latency/throughput
+    /// statistics measured per request from enqueue.
+    pub fn serve(&self, shops: &[usize], cfg: ServeConfig) -> (Vec<Prediction>, ServeStats) {
+        let workers = cfg.workers.clamp(1, shops.len().max(1));
         // Clamp like workers: a cap beyond the request count only inflates
         // the per-batch-size histogram (and a sentinel like usize::MAX
         // would try to allocate it).
-        let micro_batch = micro_batch.clamp(1, shops.len().max(1));
+        let micro_batch = cfg.micro_batch.clamp(1, shops.len().max(1));
         // An empty batch is a zeroed measurement, not a worker spawn: no
         // threads, no elapsed-time division (throughput stays 0, never
         // NaN), and the telemetry vectors keep their clamped shapes.
@@ -458,11 +452,8 @@ impl ModelServer {
                         while let Ok((slot, shop)) = rx.recv() {
                             // Drain whatever is already queued, up to the
                             // micro-batch cap, and serve it on one tape. A
-                            // cap of 1 never enters the drain loop, and
-                            // predict_batch on a single shop delegates to
-                            // the per-request path — so micro_batch == 1
-                            // IS the exact pre-batching request path
-                            // (asserted by the serving parity tests).
+                            // cap of 1 never enters the drain loop: each
+                            // request is a batch of one.
                             slots.clear();
                             batch.clear();
                             slots.push(slot);
@@ -523,45 +514,6 @@ impl ModelServer {
         (preds, stats)
     }
 
-    /// Predict a batch of shops with `workers` threads, returning the
-    /// predictions (in request order) and serving statistics. One request
-    /// per tape reset — the baseline-comparable path; see
-    /// [`ModelServer::predict_many_batched`] for the micro-batched one.
-    pub fn predict_many(&self, shops: &[usize], workers: usize) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, 1)
-    }
-
-    /// [`ModelServer::predict_many`] with worker-side micro-batching: each
-    /// worker drains up to `micro_batch` queued requests per tape and
-    /// serves them through one packed forward pass. Predictions are
-    /// element-wise identical to the per-request path for any cap.
-    pub fn predict_many_batched(
-        &self,
-        shops: &[usize],
-        workers: usize,
-        micro_batch: usize,
-    ) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, micro_batch)
-    }
-
-    /// Serve a request stream through a channel worker pool — the shape of
-    /// the production request path. Returns predictions in request order and
-    /// per-request latency statistics measured from enqueue.
-    pub fn serve_stream(&self, shops: &[usize], workers: usize) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, 1)
-    }
-
-    /// [`ModelServer::serve_stream`] with worker-side micro-batching (see
-    /// [`ModelServer::predict_many_batched`]).
-    pub fn serve_stream_batched(
-        &self,
-        shops: &[usize],
-        workers: usize,
-        micro_batch: usize,
-    ) -> (Vec<Prediction>, ServeStats) {
-        self.serve_batch(shops, workers, micro_batch)
-    }
-
     /// Measure inference time as a function of client count — the Section VI
     /// scaling claim ("inference time scales linearly with the number of
     /// clients"). Returns `(clients, seconds)` pairs.
@@ -570,7 +522,7 @@ impl ModelServer {
         let n = self.snapshot.load_full().ds.n;
         for &size in sizes {
             let shops: Vec<usize> = (0..size).map(|i| i % n).collect();
-            let (_, stats) = self.predict_many(&shops, workers);
+            let (_, stats) = self.serve(&shops, ServeConfig { workers, micro_batch: 1 });
             out.push((size, stats.seconds));
         }
         out
@@ -609,7 +561,7 @@ pub fn linearity_r2(curve: &[(usize, f64)]) -> f64 {
 mod tests {
     use super::*;
     use crate::offline::OfflinePipeline;
-    use gaia_core::trainer::TrainConfig;
+    use gaia_core::trainer::{predict_one_with, TrainConfig};
     use gaia_core::GaiaConfig;
     use gaia_graph::EgoConfig;
     use gaia_synth::{generate_dataset, WorldConfig};
@@ -706,7 +658,7 @@ mod tests {
     fn predict_one_matches_batch() {
         let (server, _, _) = booted_server();
         let single = server.predict_one(3);
-        let (batch, stats) = server.predict_many(&[3], 1);
+        let (batch, stats) = server.serve(&[3], ServeConfig { workers: 1, micro_batch: 1 });
         assert_eq!(single.currency, batch[0].currency);
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.per_worker, vec![1]);
@@ -774,7 +726,7 @@ mod tests {
     fn stream_serving_returns_all_requests_in_order() {
         let (server, _, _) = booted_server();
         let shops: Vec<usize> = (0..20).collect();
-        let (preds, stats) = server.serve_stream(&shops, 4);
+        let (preds, stats) = server.serve(&shops, ServeConfig { workers: 4, micro_batch: 1 });
         assert_eq!(preds.len(), 20);
         let seen: Vec<usize> = preds.iter().map(|p| p.node).collect();
         assert_eq!(seen, shops, "results must come back in request order");
@@ -792,7 +744,7 @@ mod tests {
     fn stream_matches_direct_prediction() {
         let (server, _, _) = booted_server();
         let direct = server.predict_one(7);
-        let (stream, _) = server.serve_stream(&[7], 2);
+        let (stream, _) = server.serve(&[7], ServeConfig { workers: 2, micro_batch: 1 });
         assert_eq!(stream[0].currency, direct.currency);
     }
 
@@ -800,8 +752,8 @@ mod tests {
     fn predictions_identical_for_any_worker_count() {
         let (server, _, _) = booted_server();
         let shops: Vec<usize> = (0..12).collect();
-        let (one, _) = server.predict_many(&shops, 1);
-        let (four, _) = server.predict_many(&shops, 4);
+        let (one, _) = server.serve(&shops, ServeConfig { workers: 1, micro_batch: 1 });
+        let (four, _) = server.serve(&shops, ServeConfig { workers: 4, micro_batch: 1 });
         for (a, b) in one.iter().zip(&four) {
             assert_eq!(a.node, b.node);
             assert_eq!(a.model_space, b.model_space);
@@ -888,17 +840,18 @@ mod tests {
     }
 
     /// THE serving-side batch-parity wall: micro-batched serving returns
-    /// exactly the per-request path's predictions, in request order, for
+    /// exactly the one-request-per-tape predictions, in request order, for
     /// every micro-batch cap and worker count.
     #[test]
     fn micro_batched_serving_matches_per_request_exactly() {
         let (server, _, _) = booted_server();
         let shops: Vec<usize> = (0..24).map(|i| i % 10).collect();
-        let (expected, base_stats) = server.predict_many(&shops, 1);
+        let (expected, base_stats) =
+            server.serve(&shops, ServeConfig { workers: 1, micro_batch: 1 });
         assert_eq!(base_stats.per_batch_size, vec![24], "micro_batch=1 packs singles only");
         for workers in [1usize, 3] {
             for micro_batch in [1usize, 4, 16] {
-                let (got, stats) = server.predict_many_batched(&shops, workers, micro_batch);
+                let (got, stats) = server.serve(&shops, ServeConfig { workers, micro_batch });
                 assert_eq!(got.len(), expected.len());
                 for (a, b) in got.iter().zip(&expected) {
                     assert_eq!(a.node, b.node, "order changed at w={workers} mb={micro_batch}");
@@ -913,38 +866,35 @@ mod tests {
                 let served: usize =
                     stats.per_batch_size.iter().enumerate().map(|(i, count)| (i + 1) * count).sum();
                 assert_eq!(served, shops.len(), "batch-size histogram must cover every request");
-                // serve_stream_batched shares the same path.
-                let (streamed, _) = server.serve_stream_batched(&shops, workers, micro_batch);
-                for (a, b) in streamed.iter().zip(&expected) {
-                    assert_pred_matches(&a.model_space, &b.model_space, "streamed batch");
-                }
             }
         }
     }
 
     /// A context's micro-batch path reaches the zero-alloc steady state
     /// (the server mirror of the trainer-level batched assertion) and
-    /// stays bit-stable.
+    /// stays bit-stable, for a batch of one as for a full micro-batch.
     #[test]
     fn batched_context_reaches_zero_alloc_steady_state() {
         let (server, _, _) = booted_server();
-        let mut ctx = server.inference_context();
-        let shops: Vec<usize> = (0..8).collect();
-        let warm_preds = ctx.predict_batch(&shops);
-        let _ = ctx.predict_batch(&shops);
-        let warm = ctx.tape_fresh_allocs();
-        for _ in 0..3 {
-            let again = ctx.predict_batch(&shops);
-            for (a, b) in again.iter().zip(&warm_preds) {
-                assert_eq!(a.model_space, b.model_space);
+        for size in [1usize, 8] {
+            let mut ctx = server.inference_context();
+            let shops: Vec<usize> = (0..size).collect();
+            let warm_preds = ctx.predict_batch(&shops);
+            let _ = ctx.predict_batch(&shops);
+            let warm = ctx.tape_fresh_allocs();
+            for _ in 0..3 {
+                let again = ctx.predict_batch(&shops);
+                for (a, b) in again.iter().zip(&warm_preds) {
+                    assert_eq!(a.model_space, b.model_space);
+                }
+                assert_eq!(
+                    ctx.tape_fresh_allocs(),
+                    warm,
+                    "steady-state batch of {size} allocated a fresh tensor buffer"
+                );
             }
-            assert_eq!(
-                ctx.tape_fresh_allocs(),
-                warm,
-                "steady-state batched request allocated a fresh tensor buffer"
-            );
+            assert_eq!(ctx.served(), 5 * shops.len());
         }
-        assert_eq!(ctx.served(), 5 * shops.len());
     }
 
     /// A hot swap lands between micro-batches: the context serves the next
@@ -958,8 +908,7 @@ mod tests {
         server.publish(&artifact2);
         let after = ctx.predict_batch(&[3, 5]);
         assert_ne!(before[0].model_space, after[0].model_space);
-        // And the swapped answers equal a fresh context's (per-request path,
-        // so batched-vs-per-request tolerance applies on the f16 tier).
+        // And the swapped answers equal a fresh context's.
         let fresh = server.predict_one(3);
         assert_pred_matches(&after[0].model_space, &fresh.model_space, "post-swap batch");
     }
@@ -970,7 +919,7 @@ mod tests {
     #[test]
     fn empty_batch_yields_empty_stats() {
         let (server, _, _) = booted_server();
-        let (preds, stats) = server.predict_many(&[], 4);
+        let (preds, stats) = server.serve(&[], ServeConfig { workers: 4, micro_batch: 1 });
         assert!(preds.is_empty());
         assert_eq!(stats.requests, 0);
         assert_eq!(stats.seconds, 0.0);
@@ -983,8 +932,8 @@ mod tests {
         assert_eq!(stats.per_batch_size.iter().sum::<usize>(), 0);
         assert!(stats.per_shard.is_empty(), "unsharded path reports no shard attribution");
         assert_eq!(stats.stolen, 0);
-        // The micro-batched entry point hits the same early return.
-        let (preds, stats) = server.predict_many_batched(&[], 2, 8);
+        // A micro-batch cap hits the same early return.
+        let (preds, stats) = server.serve(&[], ServeConfig { workers: 2, micro_batch: 8 });
         assert!(preds.is_empty());
         assert_eq!(stats.requests, 0);
         assert!(stats.per_second.is_finite());
@@ -1169,6 +1118,71 @@ mod tests {
         let mut ctx_f = full_srv.inference_context();
         for shop in 0..snap_d.ds.n {
             assert_prediction_parity(&ctx_d.predict(shop), &ctx_f.predict(shop), shop);
+        }
+    }
+
+    /// Build-tier comparison against the uncached reference: bit-exact on
+    /// the scalar build, 1e-4 relative under `simd`, 5e-3 under
+    /// `embed-f16` (the frozen cache quantisation budget).
+    fn assert_uncached_tier(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        if cfg!(any(feature = "simd", feature = "embed-f16")) {
+            let rel = if cfg!(feature = "embed-f16") { 5e-3 } else { 1e-4 };
+            for (&g, &w) in got.iter().zip(want) {
+                let tol = rel * w.abs().max(1.0);
+                assert!((g - w).abs() <= tol, "{what}: {g} vs {w} (tol {tol})");
+            }
+        } else {
+            assert_eq!(got, want, "{what}: scalar build must be bit-exact");
+        }
+    }
+
+    /// A lone request takes the batched, projection-cached path: for every
+    /// shop of a published snapshot, `predict`, `predict_batch(&[shop])`
+    /// and the uncached per-request reference agree at the build's tier —
+    /// including a shop with no edges (its ITA unit keeps only the self
+    /// term) and shops born through `publish_delta`, one with edges and one
+    /// without.
+    #[test]
+    fn batch_of_one_matches_uncached_reference() {
+        use gaia_synth::{NewShop, Role};
+        let (server, mut world, _) = untrained_server(60, 13);
+        let template = world.shops[0].clone();
+        let fresh_owner = world.shops.iter().map(|s| s.owner).max().unwrap() + 1;
+        let mut born = |owner: u32| {
+            world.add_shop(NewShop {
+                industry: template.industry,
+                region: template.region,
+                role: Role::Retailer,
+                owner,
+                lead: 0,
+            }) as usize
+        };
+        let loner = born(fresh_owner);
+        let joiner = born(template.owner);
+        let dirty = world.take_dirty();
+        server.publish_delta(&world, &dirty);
+
+        let snap = server.snapshot();
+        assert_eq!(snap.ds.n, world.shops.len(), "both newcomers joined the serving world");
+        assert_eq!(snap.graph.degree(loner), 0, "the loner must have no edges");
+        assert!(snap.graph.degree(joiner) > 0, "the joiner must have same-owner edges");
+        let mut ctx = server.inference_context();
+        for shop in 0..snap.ds.n {
+            let mut bare = InferenceScratch::new();
+            let reference =
+                predict_one_with(&snap.model, &snap.ds, &snap.graph, shop, 42, &mut bare);
+            let single = ctx.predict(shop);
+            let batch = ctx.predict_batch(&[shop]);
+            assert_eq!(single.node, shop);
+            assert_eq!(batch.len(), 1);
+            assert_eq!(single.model_space, batch[0].model_space, "shop {shop}: predict vs batch");
+            assert_eq!(single.currency, batch[0].currency, "shop {shop}: currency");
+            assert_uncached_tier(
+                &single.model_space,
+                &reference.model_space,
+                &format!("shop {shop} vs uncached reference"),
+            );
         }
     }
 

@@ -436,9 +436,13 @@ impl ShardedModelServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServeConfig;
     use gaia_core::{Gaia, GaiaConfig};
     use gaia_graph::EgoConfig;
     use gaia_synth::{generate_dataset, MonthlySales, WorldConfig};
+
+    /// The unsharded reference: one worker, one request per tape.
+    const SINGLES: ServeConfig = ServeConfig { workers: 1, micro_batch: 1 };
 
     /// Untrained-but-deterministic sharded server (the shard walls are
     /// properties of routing and publishing, not of training).
@@ -510,14 +514,14 @@ mod tests {
     /// THE sharded-routing smoke wall at unit scope (the proptest widens it
     /// over random worlds and shard counts): for several shard counts and
     /// micro-batch caps, the sharded fleet returns the unsharded
-    /// per-request path's predictions, in request order, with shard
+    /// one-request-per-tape predictions, in request order, with shard
     /// attribution summing to the request count.
     #[test]
     fn sharded_serving_matches_unsharded_reference() {
         let (server, _, _) = untrained_sharded(160, 4, 21);
         let n = server.master().snapshot().ds.n;
         let shops: Vec<usize> = (0..48).map(|i| (i * 13) % n).collect();
-        let (expected, _) = server.master().predict_many(&shops, 1);
+        let (expected, _) = server.master().serve(&shops, SINGLES);
         for micro_batch in [1usize, 4] {
             let (got, stats) = server.serve_sharded(&shops, micro_batch);
             assert_eq!(got.len(), expected.len());
@@ -574,7 +578,7 @@ mod tests {
         let weighted: usize = report.batch_sizes.iter().enumerate().map(|(i, c)| (i + 1) * c).sum();
         assert_eq!(weighted, victims.len());
         // Stolen predictions equal the unsharded reference for those shops.
-        let (expected, _) = server.master().predict_many(&victims, 1);
+        let (expected, _) = server.master().serve(&victims, SINGLES);
         let mut got = report.done;
         got.sort_by_key(|&(slot, _, _)| slot);
         for ((_, pred, _), want) in got.into_iter().zip(&expected) {
@@ -695,7 +699,7 @@ mod tests {
         // else's (their stale-generation snapshots are provably identical).
         let map = server.shard_map();
         let shops: Vec<usize> = (0..world.shops.len()).collect();
-        let (expected, _) = server.master().predict_many(&shops, 1);
+        let (expected, _) = server.master().serve(&shops, SINGLES);
         let (got, stats) = server.serve_sharded(&shops, 4);
         for (a, b) in got.iter().zip(&expected) {
             let what = format!("post-publish shop {} (shard {})", b.node, map.shard_of(b.node));
@@ -744,7 +748,7 @@ mod tests {
         assert_eq!(map.len(), world.shops.len());
         assert_eq!(map.shard_of(newcomer), map.shard_of_key(world.shops[newcomer].industry));
         let (got, _) = server.serve_sharded(&[newcomer, 0, 5], 2);
-        let (want, _) = server.master().predict_many(&[newcomer, 0, 5], 1);
+        let (want, _) = server.master().serve(&[newcomer, 0, 5], SINGLES);
         for (a, b) in got.iter().zip(&want) {
             assert_parity(a, b, "post-growth serving");
         }

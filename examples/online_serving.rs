@@ -7,7 +7,7 @@
 
 use gaia_core::trainer::TrainConfig;
 use gaia_core::GaiaConfig;
-use gaia_serving::{linearity_r2, ModelServer, OfflinePipeline};
+use gaia_serving::{linearity_r2, ModelServer, OfflinePipeline, ServeConfig};
 use gaia_synth::{generate_dataset, WorldConfig};
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ fn main() {
     // --- Online: boot the server and serve newcomers ----------------------
     let server = Arc::new(ModelServer::new(&artifact, world.graph.clone(), ds.clone(), 5));
     let newcomers: Vec<usize> = ds.splits.test.iter().take(40).copied().collect();
-    let (preds, stats) = server.serve_stream(&newcomers, 4);
+    let (preds, stats) = server.serve(&newcomers, ServeConfig { workers: 4, micro_batch: 1 });
     println!(
         "served {} real-time predictions through the worker pool \
          ({:.0}/s, p50 {:.2}ms, p99 {:.2}ms from enqueue)",

@@ -4,7 +4,7 @@
 use gaia_core::trainer::TrainConfig;
 use gaia_core::GaiaConfig;
 use gaia_graph::{mine_supply_chain, EgoConfig, MiningConfig};
-use gaia_serving::{ModelServer, OfflinePipeline};
+use gaia_serving::{ModelServer, OfflinePipeline, ServeConfig};
 use gaia_synth::{generate_dataset, WorldConfig};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -166,7 +166,7 @@ fn serving_survives_hot_swap_under_stream_load() {
     // After the dust settles, a fresh context serves generation 2 and the
     // stream path reports per-request latency stats measured from enqueue.
     let shops: Vec<usize> = (0..30).map(|i| i % 10).collect();
-    let (preds, stats) = server.serve_stream(&shops, 3);
+    let (preds, stats) = server.serve(&shops, ServeConfig { workers: 3, micro_batch: 1 });
     assert_eq!(preds.len(), shops.len());
     assert_eq!(preds[probe].node, probe, "results come back in request order");
     assert!(parity(&preds[probe].model_space, &expected[1]), "served answer matches generation 2");

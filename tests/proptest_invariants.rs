@@ -5,7 +5,7 @@ use gaia_core::half::{f16_to_f32, f32_to_f16};
 use gaia_core::trainer::{predict_batch_with, predict_one_with, InferenceScratch};
 use gaia_core::{Gaia, GaiaConfig, ProjSlot};
 use gaia_graph::{extract_ego, Edge, EdgeType, EgoConfig, EsellerGraph};
-use gaia_serving::{ModelArtifact, ModelServer, ShardedModelServer};
+use gaia_serving::{ModelArtifact, ModelServer, ServeConfig, ShardedModelServer};
 use gaia_synth::{
     build_dataset, generate_dataset, month_of_year, MonthlySales, NewShop, Role, Scaler, World,
     WorldConfig, D_TEMPORAL,
@@ -586,8 +586,9 @@ proptest! {
     /// path: for random worlds, random Gaia depths/fanouts and every batch
     /// size 1..=16, `predict_batch_with` is **element-wise identical**
     /// (exact f32 equality — same kernels, same summation order) to a
-    /// `predict_one_with` loop with the same seed. Batch size 1 is
-    /// asserted to be the per-request path by construction.
+    /// `predict_one_with` loop with the same seed. Batch size 1 is a real
+    /// check too: it runs the batched forward (batched ITA units, stacked
+    /// head, projection cache) against the per-request reference.
     #[test]
     fn predict_batch_matches_per_request_loop(
         world_seed in 0u64..10_000,
@@ -823,7 +824,8 @@ proptest! {
         let check_world = |server: &ShardedModelServer, phase: &str| {
             let n = server.master().snapshot().ds.n;
             let shops: Vec<usize> = (0..n).collect();
-            let (want, _) = server.master().predict_many(&shops, 1);
+            let (want, _) =
+                server.master().serve(&shops, ServeConfig { workers: 1, micro_batch: 1 });
             let (got, stats) = server.serve_sharded(&shops, micro_batch);
             if got.len() != want.len() {
                 return Err(TestCaseError::fail(format!("{phase}: length mismatch")));
