@@ -8,20 +8,6 @@ use gaia_synth::Dataset;
 use gaia_tensor::{Graph, Tensor, VarId};
 use std::sync::Arc;
 
-/// Cache of per-node embedding *values* for inference-only forward passes.
-///
-/// A node's embedding (FFL → TEL output, `E_v: [T, C]`) depends only on the
-/// node's features and the model parameters — not on the ego subgraph it
-/// appears in — so serving workers can reuse it across requests. The cache
-/// is only sound while the model parameters and dataset stay fixed; owners
-/// (e.g. a serving inference context) must call [`EmbedCache::clear`] when
-/// either changes, such as after a model hot swap.
-///
-/// Two layers: an optional **shared** base (an `Arc`'d map produced by
-/// [`EmbedCache::into_shared`], typically a snapshot's publish-time
-/// precompute) and a **local** overlay for entries inserted by this holder.
-/// Cloning a shared cache is an `Arc` bump, not a deep copy of the tensors,
-/// so handing one to every serving worker is cheap.
 /// Slots of the per-node **layer-0 projection cache** (see
 /// [`EmbedCache::proj_constant`]): the CAU's Q/K/V conv projections and the
 /// ITA aggregation gate's source/destination projections, all evaluated on
@@ -169,6 +155,25 @@ pub struct BlockValues<'a> {
     pub gate_dst: &'a [f32],
 }
 
+/// Cache of per-node embedding *values* for inference-only forward passes.
+///
+/// A node's embedding (FFL → TEL output, `E_v: [T, C]`) depends only on the
+/// node's features and the model parameters — not on the ego subgraph it
+/// appears in — so serving workers can reuse it across requests.
+///
+/// Two layers: an optional **shared** base (an `Arc`'d map produced by
+/// [`EmbedCache::into_shared`], typically a snapshot's publish-time
+/// precompute) and a **local** overlay for entries inserted by this holder.
+/// Cloning a shared cache is an `Arc` bump, not a deep copy of the tensors,
+/// so handing one to every serving worker is cheap.
+///
+/// The overlay also holds the **layer-state memo**: hidden states `H^l`
+/// (`1 ≤ l < L`) of nodes whose state is centre-independent, plus their
+/// projections by layer `l`'s convs. Those are functions of the
+/// **graph** as well, so the cache is only sound while the model
+/// parameters, the dataset and the graph all stay fixed; owners (e.g. a
+/// serving inference context) must call [`EmbedCache::clear`] or install a
+/// fresh cache when any of them changes, such as on a snapshot swap.
 #[derive(Clone, Debug, Default)]
 pub struct EmbedCache {
     /// Shared base, segmented: segment `k` covers nodes
@@ -187,6 +192,12 @@ pub struct EmbedCache {
     dims: Option<(usize, usize)>,
     local: std::collections::HashMap<usize, Tensor>,
     proj_local: std::collections::HashMap<usize, ProjEntry>,
+    /// Layer-state memo: `H^l` of a centre-independent node, keyed
+    /// `(l, node)` with `l ≥ 1`. Always f32 and never frozen.
+    states: std::collections::HashMap<(usize, usize), Tensor>,
+    /// Projections of memoised states by layer `l`'s convs, keyed like
+    /// `states` (layer 0's live in `proj_local` and the frozen lanes).
+    state_proj: std::collections::HashMap<(usize, usize), ProjEntry>,
 }
 
 impl EmbedCache {
@@ -343,17 +354,19 @@ impl EmbedCache {
         self.len() == 0
     }
 
-    /// Drop every cached embedding **and projection**, shared and local
-    /// (required after a parameter or dataset change — projections are
-    /// functions of the same parameters the embeddings are). Also forgets
-    /// the frozen dims: the next freeze re-infers them, so a model with a
-    /// different channel width can reuse the cache object.
+    /// Drop every cached embedding, projection and memoised layer state,
+    /// shared and local (required after a parameter, dataset or graph
+    /// change). Also forgets the frozen dims: the next freeze re-infers
+    /// them, so a model with a different channel width can reuse the cache
+    /// object.
     pub fn clear(&mut self) {
         self.pages.clear();
         self.segments = 0;
         self.dims = None;
         self.local.clear();
         self.proj_local.clear();
+        self.states.clear();
+        self.state_proj.clear();
     }
 
     /// Store layer-0 projection `slot` of `node` (local overlay). The
@@ -378,6 +391,71 @@ impl EmbedCache {
         shared_len + overlay_only
     }
 
+    /// Enter the memoised layer-`layer` state `H^layer` of `node` on the
+    /// tape as a pooled constant, if present. Only states the request path
+    /// proved centre-independent are ever memoised: the node's whole
+    /// neighbour list was in its ego and every neighbour's input state was
+    /// itself centre-independent, so the entry is the same op sequence on
+    /// the same inputs — the same bits — whichever request computed it.
+    pub(crate) fn layer_state_constant(
+        &self,
+        g: &mut Graph,
+        layer: usize,
+        node: usize,
+    ) -> Option<VarId> {
+        self.states.get(&(layer, node)).map(|t| g.constant_from(t))
+    }
+
+    /// Memoise `H^layer` of `node` (`layer ≥ 1`; layer 0 is the embedding).
+    pub(crate) fn insert_layer_state(&mut self, layer: usize, node: usize, value: Tensor) {
+        debug_assert!(layer >= 1, "layer 0 states are the embeddings");
+        self.states.insert((layer, node), value);
+    }
+
+    /// Number of memoised `(layer, node)` hidden states.
+    pub fn cached_layer_states(&self) -> usize {
+        self.states.len()
+    }
+
+    /// `(layer, node)` keys of the memoised hidden states, in no order.
+    #[cfg(test)]
+    pub(crate) fn layer_state_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.states.keys().copied()
+    }
+
+    /// [`EmbedCache::proj_constant`] for the projection of `node`'s
+    /// layer-`layer` state: layer 0 reads the embedding projections, deeper
+    /// layers the memo.
+    pub(crate) fn proj_constant_at(
+        &self,
+        g: &mut Graph,
+        layer: usize,
+        node: usize,
+        slot: ProjSlot,
+    ) -> Option<VarId> {
+        if layer == 0 {
+            return self.proj_constant(g, node, slot);
+        }
+        let t = self.state_proj.get(&(layer, node))?[slot as usize].as_ref()?;
+        Some(g.constant_from(t))
+    }
+
+    /// [`EmbedCache::insert_proj`] for the projection of `node`'s
+    /// layer-`layer` state (the memo for `layer ≥ 1`).
+    pub(crate) fn insert_proj_at(
+        &mut self,
+        layer: usize,
+        node: usize,
+        slot: ProjSlot,
+        value: Tensor,
+    ) {
+        if layer == 0 {
+            self.insert_proj(node, slot, value);
+        } else {
+            self.state_proj.entry((layer, node)).or_default()[slot as usize] = Some(value);
+        }
+    }
+
     /// Approximate resident heap bytes of the cache: every heap block's
     /// `capacity × element size` plus a 16-byte per-allocation overhead,
     /// inline headers counted as part of their parent block. The frozen
@@ -396,10 +474,10 @@ impl EmbedCache {
             bytes += OVH; // the Arc allocation (header + inline Segment)
             bytes += seg.data.capacity() * std::mem::size_of::<CacheElem>() + OVH;
         }
-        for t in self.local.values() {
+        for t in self.local.values().chain(self.states.values()) {
             bytes += tensor_bytes(t) + 3 * OVH;
         }
-        for entry in self.proj_local.values() {
+        for entry in self.proj_local.values().chain(self.state_proj.values()) {
             bytes += entry.iter().flatten().map(tensor_bytes).sum::<usize>() + 3 * OVH;
         }
         bytes
@@ -432,7 +510,15 @@ impl EmbedCache {
     /// lane intact — the same fallthrough [`EmbedCache::proj_constant`]
     /// applies before freezing, so freezing never changes what a lookup
     /// observes.
+    ///
+    /// Memoised layer states are never frozen (they would be f16-encoded
+    /// on that tier, and they depend on the graph a publish does not see):
+    /// only publish caches are frozen, and those hold none.
     pub fn into_shared(mut self) -> Self {
+        debug_assert!(
+            self.states.is_empty() && self.state_proj.is_empty(),
+            "EmbedCache::into_shared: memoised layer states must not be frozen"
+        );
         let mut touched: Vec<usize> = self
             .local
             .keys()
@@ -487,6 +573,8 @@ impl EmbedCache {
             dims: self.dims,
             local: Default::default(),
             proj_local: Default::default(),
+            states: Default::default(),
+            state_proj: Default::default(),
         }
     }
 
@@ -586,6 +674,8 @@ impl EmbedCache {
         }
         self.local.extend(other.local);
         self.proj_local.extend(other.proj_local);
+        self.states.extend(other.states);
+        self.state_proj.extend(other.state_proj);
     }
 
     /// Shard slice of a frozen cache: keep only the shared segments `keep`
@@ -614,6 +704,8 @@ impl EmbedCache {
             dims: self.dims,
             local: self.local.clone(),
             proj_local: self.proj_local.clone(),
+            states: self.states.clone(),
+            state_proj: self.state_proj.clone(),
         }
     }
 }
@@ -1117,6 +1209,43 @@ mod tests {
         assert_eq!(f.len(), 4);
         f.clear();
         assert!(f.is_empty() && f.segment_count() == 0);
+    }
+
+    /// The layer-state memo lives in the overlay: it is counted by
+    /// `cached_layer_states` and `approx_heap_bytes`, read back per
+    /// `(layer, node)` and slot (layer 0 still reads the embedding
+    /// projections), and dropped by `clear`.
+    #[test]
+    fn layer_state_memo_is_counted_read_back_and_cleared() {
+        let mut c = frozen(SEGMENT_NODES);
+        let before = c.approx_heap_bytes();
+        c.insert_layer_state(1, 3, probe(30));
+        c.insert_proj_at(1, 3, ProjSlot::K, probe(31));
+        assert_eq!(c.cached_layer_states(), 1);
+        assert!(c.approx_heap_bytes() > before, "memo entries must be counted");
+        let mut g = Graph::new();
+        let h = c.layer_state_constant(&mut g, 1, 3).unwrap();
+        assert_eq!(g.value(h).data(), probe(30).data());
+        let k = c.proj_constant_at(&mut g, 1, 3, ProjSlot::K).unwrap();
+        assert_eq!(g.value(k).data(), probe(31).data());
+        assert!(c.proj_constant_at(&mut g, 1, 3, ProjSlot::Q).is_none());
+        assert!(c.layer_state_constant(&mut g, 2, 3).is_none());
+        let q0 = c.proj_constant_at(&mut g, 0, 3, ProjSlot::Q).unwrap();
+        assert_eq!(g.value(q0).data(), probe(3).data());
+        c.clear();
+        assert_eq!(c.cached_layer_states(), 0);
+        assert!(c.proj_constant_at(&mut g, 1, 3, ProjSlot::K).is_none());
+    }
+
+    /// Memoised states never reach the frozen (possibly binary16) tier.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must not be frozen")]
+    fn freezing_a_memo_is_a_bug() {
+        let mut c = EmbedCache::new();
+        c.insert(0, probe(0));
+        c.insert_layer_state(1, 0, probe(1));
+        let _ = c.into_shared();
     }
 
     #[test]

@@ -92,35 +92,38 @@ impl ConvolutionalAttentionUnit {
         self.mask.is_some()
     }
 
-    /// Batched `CAU(H_u, H_v)` over one shared `h_u` and a set of partners
-    /// `h_vs` (a node's self term plus its neighbour messages), returning
-    /// one message per partner.
+    /// Batched `CAU(H_u, H_v)` over one shared query partner `u` and a set
+    /// of `partners` (a node's neighbour messages, then its self term),
+    /// returning one message per partner — the request path's only CAU.
     ///
     /// Bit-identical to calling [`Self::forward`] per pair — same kernels,
     /// same per-element summation order — but structurally cheaper:
     ///
     /// * the query projection `Q_u = L^Q ⋆ H_u` is computed **once** and
     ///   shared across every pair (per-pair calls recompute it);
-    /// * `K`/`V` projections run as one batched conv node each (weights
-    ///   bound once for the whole partner set);
+    /// * a projection of a centre-independent state (see [`Partner`]) is
+    ///   read from `cache` — the publish-time layer-0 lanes or the
+    ///   layer-state memo — and the remaining `K`/`V` projections run as
+    ///   one batched conv node each (weights bound once);
     /// * the masked variant dispatches to the fused causal
     ///   scores + softmax kernel, which never materialises the upper
     ///   triangle (`exp` of masked entries underflows to exactly `0.0`, so
     ///   skipping them is bit-exact — see
     ///   `gaia_tensor::kernels::attention_probs_causal_into`).
-    pub fn forward_batched(
+    pub(crate) fn forward_batched(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
-        h_u: VarId,
-        h_vs: &[VarId],
+        u: Partner,
+        partners: &[Partner],
+        layer: usize,
+        cache: &mut EmbedCache,
     ) -> Vec<VarId> {
-        assert!(!h_vs.is_empty(), "forward_batched: no partners");
-        let q = self.lq.forward(g, ps, h_u);
-        let stack = g.stack_rows(h_vs);
-        let k = self.lk.forward_act_batched(g, ps, stack, Activation::Identity);
-        let v = self.lv.forward_act_batched(g, ps, stack, Activation::Identity);
-        self.attend_batched(g, q, k, v, h_vs.len())
+        assert!(!partners.is_empty(), "forward_batched: no partners");
+        let q = proj_cached(g, ps, &self.lq, ProjSlot::Q, u, layer, cache);
+        let k = proj_stacked(g, ps, &self.lk, ProjSlot::K, partners, layer, cache);
+        let v = proj_stacked(g, ps, &self.lv, ProjSlot::V, partners, layer, cache);
+        self.attend_batched(g, q, k, v, partners.len())
     }
 
     /// Shared attention tail of the batched CAU paths: probabilities from
@@ -150,36 +153,6 @@ impl ConvolutionalAttentionUnit {
                 (0..bt).map(|i| g.slice_batch(msgs, i)).collect()
             }
         }
-    }
-
-    /// [`Self::forward_batched`] drawing Q/K/V from the layer-0 projection
-    /// cache: projections of a node's **embedding** depend only on the
-    /// parameters, so a cache hit replaces a conv dispatch with a pooled
-    /// copy of the exact tensor that conv would produce (misses compute on
-    /// the tape and populate the cache). Only valid when every partner
-    /// state is the node's embedding `E_v` — i.e. the first ITA layer.
-    pub fn forward_batched_cached(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        h_u: VarId,
-        u_node: usize,
-        partners: &[(VarId, usize)],
-        cache: &mut EmbedCache,
-    ) -> Vec<VarId> {
-        assert!(!partners.is_empty(), "forward_batched_cached: no partners");
-        let q = proj_cached(g, ps, &self.lq, ProjSlot::Q, h_u, u_node, cache);
-        let ks: Vec<VarId> = partners
-            .iter()
-            .map(|&(h_v, node)| proj_cached(g, ps, &self.lk, ProjSlot::K, h_v, node, cache))
-            .collect();
-        let vs: Vec<VarId> = partners
-            .iter()
-            .map(|&(h_v, node)| proj_cached(g, ps, &self.lv, ProjSlot::V, h_v, node, cache))
-            .collect();
-        let k = g.stack_rows(&ks);
-        let v = g.stack_rows(&vs);
-        self.attend_batched(g, q, k, v, partners.len())
     }
 
     /// Precompute this CAU's Q/K/V projections of `e` (a node's embedding
@@ -220,25 +193,94 @@ impl ConvolutionalAttentionUnit {
     }
 }
 
-/// One layer-0 projection, served from the cache when present or computed
-/// on the tape and inserted. The single cache-or-compute point for every
-/// projection slot (CAU Q/K/V and the ITA gate projections), so hit
-/// semantics can never diverge between paths.
+/// One operand of a batched ITA unit: a local node's input state on the
+/// tape, its original node id, and whether that state is
+/// **centre-independent** — an embedding, or a memoised layer state (see
+/// `EmbedCache::layer_state_constant`). Only such states' projections may
+/// be read from or written to the cache: they are the same bits whichever
+/// request computes them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Partner {
+    pub state: VarId,
+    pub node: usize,
+    pub stable: bool,
+}
+
+/// One projection of `p`'s layer-`layer` state: served from the cache when
+/// `p` is centre-independent and present, else computed on the tape (and
+/// inserted when centre-independent). With [`proj_stacked`], the single
+/// cache-or-compute point for every projection slot (CAU Q/K/V and the ITA
+/// gate projections), so hit semantics can never diverge between paths.
 pub(crate) fn proj_cached(
     g: &mut Graph,
     ps: &ParamStore,
     conv: &Conv1d,
     slot: ProjSlot,
-    state: VarId,
-    node: usize,
+    p: Partner,
+    layer: usize,
     cache: &mut EmbedCache,
 ) -> VarId {
-    if let Some(var) = cache.proj_constant(g, node, slot) {
-        return var;
+    if let Some(hit) = p.stable.then(|| cache.proj_constant_at(g, layer, p.node, slot)).flatten() {
+        return hit;
     }
-    let var = conv.forward(g, ps, state);
-    cache.insert_proj(node, slot, g.value(var).clone());
+    let var = conv.forward(g, ps, p.state);
+    if p.stable {
+        cache.insert_proj_at(layer, p.node, slot, g.value(var).clone());
+    }
     var
+}
+
+/// Stacked `[B, T, cols]` projection of every partner's state: hits are
+/// pooled copies of cached values, and all misses run through **one**
+/// batched conv (member-exact with `conv.forward`), so a partner set with
+/// no cacheable state costs what one stacked conv costs. Centre-independent
+/// misses are inserted.
+pub(crate) fn proj_stacked(
+    g: &mut Graph,
+    ps: &ParamStore,
+    conv: &Conv1d,
+    slot: ProjSlot,
+    partners: &[Partner],
+    layer: usize,
+    cache: &mut EmbedCache,
+) -> VarId {
+    // Hits enter as pooled constants; a miss keeps its input state as a
+    // placeholder until the batched conv has produced its projection.
+    let mut members: Vec<VarId> = Vec::with_capacity(partners.len());
+    let mut misses: Vec<usize> = Vec::new();
+    for (i, p) in partners.iter().enumerate() {
+        match p.stable.then(|| cache.proj_constant_at(g, layer, p.node, slot)).flatten() {
+            Some(hit) => members.push(hit),
+            None => {
+                misses.push(i);
+                members.push(p.state);
+            }
+        }
+    }
+    if misses.is_empty() {
+        return g.stack_rows(&members);
+    }
+    let states: Vec<VarId> = misses.iter().map(|&i| partners[i].state).collect();
+    let stack = g.stack_rows(&states);
+    let computed = conv.forward_act_batched(g, ps, stack, Activation::Identity);
+    let (rows, cols) = {
+        let shape = g.value(computed).shape();
+        (shape[1], shape[2])
+    };
+    for (j, &i) in misses.iter().enumerate() {
+        if partners[i].stable {
+            let lane = &g.value(computed).data()[j * rows * cols..(j + 1) * rows * cols];
+            let value = Tensor::from_vec(vec![rows, cols], lane.to_vec());
+            cache.insert_proj_at(layer, partners[i].node, slot, value);
+        }
+    }
+    if misses.len() == partners.len() {
+        return computed;
+    }
+    for (j, &i) in misses.iter().enumerate() {
+        members[i] = g.slice_batch(computed, j);
+    }
+    g.stack_rows(&members)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! type-conditioned logit is the minimal faithful realisation of that.
 
 use crate::api::{EmbedCache, ProjSlot};
-use crate::cau::ConvolutionalAttentionUnit;
+use crate::cau::{proj_cached, proj_stacked, ConvolutionalAttentionUnit, Partner};
 use crate::config::{GaiaConfig, GaiaVariant};
 use gaia_graph::{EdgeType, EgoSubgraph};
 use gaia_nn::{init, Conv1d, ParamId, ParamStore};
@@ -116,118 +116,53 @@ impl ItaGcnLayer {
         g.sum_vars(&weighted)
     }
 
-    /// Batched-dispatch variant of [`Self::forward_node`]: the node's self
-    /// term and all neighbour messages run through **one** batched CAU
-    /// (shared hoisted query, fused causal attention), the gate's source
-    /// projection `L^s ⋆ H_u` is computed once instead of per neighbour,
-    /// and the neighbour logits collapse into one stacked conv + one GEMM
-    /// against `µ`.
+    /// Batched, cache-aware [`Self::forward_node`] — the request path's
+    /// one ITA dispatch, at any depth. The node's self term and all
+    /// neighbour messages run through **one** batched CAU (shared query,
+    /// fused causal attention), the gate's source projection `L^s ⋆ H_u`
+    /// is computed once instead of per neighbour, and the neighbour logits
+    /// collapse into one stacked conv + one GEMM against `µ`.
+    ///
+    /// `layer` is this layer's index, so `h` holds layer-`layer` states;
+    /// `stable[v]` says local node `v`'s state is centre-independent. A
+    /// projection of such a state is read from `cache` (the publish-time
+    /// lanes on layer 0, where every state is an embedding; the layer-state
+    /// memo deeper) or computed and inserted on a miss; every other
+    /// projection is convolved on the tape.
     ///
     /// Bit-identical to [`Self::forward_node`]: every reused projection is
-    /// the same op on the same input (recomputing it per pair yields the
-    /// same bits), batched kernels are per-member-exact, and the final
-    /// α-weighted aggregation preserves the same summand order.
-    pub fn forward_node_batched(
+    /// the same op on the same input (recomputing it per pair, or reading
+    /// the exact tensor a previous request computed, yields the same bits),
+    /// batched kernels are per-member-exact, and the final α-weighted
+    /// aggregation preserves the same summand order.
+    pub(crate) fn forward_node_cached(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
         h: &[VarId],
+        stable: &[bool],
         ego: &EgoSubgraph,
         u: usize,
-    ) -> VarId {
-        self.forward_node_dispatch(g, ps, h, ego, u, None)
-    }
-
-    /// [`Self::forward_node_batched`] with the **layer-0 projection
-    /// cache**: Q/K/V and the gate projections are pure functions of a
-    /// node's embedding, so on the first ITA layer (where every state *is*
-    /// the embedding `E_v`) they are served from `cache` instead of being
-    /// convolved per request — the serving snapshot precomputes them all
-    /// at publish time. Misses compute on the tape and populate the cache;
-    /// hits are pooled copies of the exact tensors those convs produce, so
-    /// values stay bit-identical to [`Self::forward_node`].
-    pub fn forward_node_cached(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        h: &[VarId],
-        ego: &EgoSubgraph,
-        u: usize,
+        layer: usize,
         cache: &mut EmbedCache,
     ) -> VarId {
-        self.forward_node_dispatch(g, ps, h, ego, u, Some(cache))
-    }
-
-    /// One body for both batched unit variants — they differ only in how
-    /// projections are obtained (tape convs vs the layer-0 cache), so the
-    /// partner assembly, gate construction and summand order can never
-    /// drift apart.
-    fn forward_node_dispatch(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        h: &[VarId],
-        ego: &EgoSubgraph,
-        u: usize,
-        mut cache: Option<&mut EmbedCache>,
-    ) -> VarId {
         let neighbors = ego.neighbors(u);
-        let u_node = ego.nodes[u] as usize;
+        let partner =
+            |v: usize| Partner { state: h[v], node: ego.nodes[v] as usize, stable: stable[v] };
         // Partner order: neighbours first, self term last, so the final
         // sum_vars matches forward_node's summand order exactly.
-        let mut partners: Vec<(VarId, usize)> = neighbors
-            .iter()
-            .map(|nb| (h[nb.local as usize], ego.nodes[nb.local as usize] as usize))
-            .collect();
-        partners.push((h[u], u_node));
-        let msgs = match cache.as_deref_mut() {
-            Some(cache) => self.cau.forward_batched_cached(g, ps, h[u], u_node, &partners, cache),
-            None => {
-                let states: Vec<VarId> = partners.iter().map(|&(state, _)| state).collect();
-                self.cau.forward_batched(g, ps, h[u], &states)
-            }
-        };
+        let partners: Vec<Partner> =
+            neighbors.iter().map(|nb| partner(nb.local as usize)).chain([partner(u)]).collect();
+        let msgs = self.cau.forward_batched(g, ps, partner(u), &partners, layer, cache);
         let self_term = msgs[neighbors.len()];
         if neighbors.is_empty() {
             return self_term;
         }
         // Aggregation gate, batched: g(u,v) = µᵀ tanh(L^s⋆H_u + L^d⋆H_v) + β;
         // su is computed once and shared across the neighbour set.
-        let (su, dv) = match cache {
-            Some(cache) => {
-                let su = crate::cau::proj_cached(
-                    g,
-                    ps,
-                    &self.l_s,
-                    ProjSlot::GateSrc,
-                    h[u],
-                    u_node,
-                    cache,
-                );
-                let dvs: Vec<VarId> = partners[..neighbors.len()]
-                    .iter()
-                    .map(|&(state, node)| {
-                        crate::cau::proj_cached(
-                            g,
-                            ps,
-                            &self.l_d,
-                            ProjSlot::GateDst,
-                            state,
-                            node,
-                            cache,
-                        )
-                    })
-                    .collect();
-                (su, g.stack_rows(&dvs)) // [nb, T, 1]
-            }
-            None => {
-                let su = self.l_s.forward(g, ps, h[u]); // [T, 1]
-                let nb_states: Vec<VarId> =
-                    partners[..neighbors.len()].iter().map(|&(state, _)| state).collect();
-                let nb_stack = g.stack_rows(&nb_states);
-                (su, self.l_d.forward_act_batched(g, ps, nb_stack, Activation::Identity))
-            }
-        };
+        let su = proj_cached(g, ps, &self.l_s, ProjSlot::GateSrc, partner(u), layer, cache); // [T, 1]
+        let nb_partners = &partners[..neighbors.len()];
+        let dv = proj_stacked(g, ps, &self.l_d, ProjSlot::GateDst, nb_partners, layer, cache); // [nb, T, 1]
         let t = g.value(su).shape()[0];
         let su_tiled = g.stack_rows(&vec![su; neighbors.len()]);
         let summed = g.add(su_tiled, dv);

@@ -223,10 +223,19 @@ impl Gaia {
     }
 
     /// [`Gaia::propagate_with`] dispatching every refreshed node through
-    /// the batched ITA unit ([`ItaGcnLayer::forward_node_batched`]):
-    /// hoisted query/gate projections and fused causal attention over the
-    /// node's whole message set. Values are bit-identical to
-    /// [`Gaia::propagate_with`].
+    /// the batched, cache-aware ITA unit
+    /// ([`ItaGcnLayer::forward_node_cached`]): hoisted query/gate
+    /// projections and fused causal attention over the node's whole
+    /// message set. Values are bit-identical to [`Gaia::propagate_with`].
+    ///
+    /// Layer-state memo: a node's state at layer `l` is
+    /// **centre-independent** ("stable") when the node is `complete` in
+    /// its ego (all graph neighbours present, in CSR order) and every
+    /// neighbour's layer-`l−1` state is stable; embeddings always are.
+    /// Such a state is the same op sequence on the same inputs whatever
+    /// the centre, so at every non-final layer it is read from `cache` or
+    /// computed and memoised. The final layer is never memoised, so no
+    /// prediction is; a 1-layer model never touches the memo.
     fn propagate_batched(
         &self,
         g: &mut Graph,
@@ -237,22 +246,37 @@ impl Gaia {
         let e = self.embed_locals(g, ds, ego, Some(&mut *cache));
         let l_max = self.layers.len();
         let mut h = e.clone();
+        let mut stable = vec![true; ego.len()];
         for (li, layer) in self.layers.iter().enumerate() {
             let l = li + 1;
             let mut next = h.clone();
+            // The final layer's outputs feed no further layer.
+            let mut next_stable = vec![false; if l < l_max { ego.len() } else { 0 }];
             for u in 0..ego.len() {
-                if (ego.hops[u] as usize) <= l_max - l {
-                    // On the first layer every state is the node's
-                    // embedding, so the projection cache applies; deeper
-                    // layers see computed states and convolve on the tape.
-                    next[u] = if li == 0 {
-                        layer.forward_node_cached(g, &self.ps, &h, ego, u, cache)
-                    } else {
-                        layer.forward_node_batched(g, &self.ps, &h, ego, u)
-                    };
+                if (ego.hops[u] as usize) > l_max - l {
+                    continue;
+                }
+                let node = ego.nodes[u] as usize;
+                let memo = l < l_max
+                    && ego.complete[u]
+                    && ego.neighbors(u).iter().all(|nb| stable[nb.local as usize]);
+                next[u] = match memo.then(|| cache.layer_state_constant(g, l, node)).flatten() {
+                    Some(hit) => hit,
+                    None => {
+                        let out =
+                            layer.forward_node_cached(g, &self.ps, &h, &stable, ego, u, li, cache);
+                        if memo {
+                            cache.insert_layer_state(l, node, g.value(out).clone());
+                        }
+                        out
+                    }
+                };
+                if memo {
+                    next_stable[u] = true;
                 }
             }
             h = next;
+            stable = next_stable;
         }
         (e, h)
     }

@@ -237,11 +237,13 @@ pub struct Prediction {
 /// ego-extraction workspace and a per-node embedding cache. Holding one
 /// `InferenceScratch` per serving worker (or per predict thread) removes the
 /// per-request tape and BFS allocations from the hot path and reuses node
-/// embeddings across requests — see `gaia_serving`'s `InferenceContext`.
+/// embeddings, projections and centre-independent layer states across
+/// requests — see `gaia_serving`'s `InferenceContext`.
 ///
-/// The embedding cache is only valid while the model parameters and dataset
-/// stay fixed; call [`InferenceScratch::clear_embed_cache`] when either
-/// changes (e.g. after a model hot swap).
+/// The cache is only valid while the model parameters, the dataset **and
+/// the graph** stay fixed (memoised layer states are functions of a node's
+/// neighbour list); call [`InferenceScratch::clear_embed_cache`] or install
+/// a fresh cache when any of them changes (e.g. on a snapshot swap).
 #[derive(Default)]
 pub struct InferenceScratch {
     tape: Graph,
@@ -265,8 +267,9 @@ impl InferenceScratch {
         }
     }
 
-    /// Drop all cached node embeddings. Required whenever the model
-    /// parameters or the dataset this scratch is used with change.
+    /// Drop all cached node embeddings, projections and memoised layer
+    /// states. Required whenever the model parameters, the dataset or the
+    /// graph this scratch is used with change.
     pub fn clear_embed_cache(&mut self) {
         self.cache.clear();
     }
@@ -287,6 +290,13 @@ impl InferenceScratch {
     /// path's publish-time precompute; see `EmbedCache::proj_constant`).
     pub fn cached_projections(&self) -> usize {
         self.cache.cached_projections()
+    }
+
+    /// Number of memoised centre-independent `(layer, node)` hidden states
+    /// (see `EmbedCache::layer_state_constant`). Always 0 for a 1-layer
+    /// model, which has no non-final layer.
+    pub fn cached_layer_states(&self) -> usize {
+        self.cache.cached_layer_states()
     }
 
     /// Fresh heap buffers the reused tape has ever allocated (pool misses).
@@ -337,7 +347,9 @@ pub fn predict_one_with<M: GraphForecaster + ?Sized>(
 ///
 /// Every batch size takes this path, one included: a lone request reads
 /// the publish-time layer-0 projections from the cache just as a full
-/// micro-batch does.
+/// micro-batch does. A model with more than one ITA layer also memoises
+/// centre-independent layer states in `scratch`'s cache, so `scratch` must
+/// only ever see one `(model, ds, graph)` between cache clears.
 ///
 /// **Parity contract** (pinned by `tests/proptest_invariants.rs` for batch
 /// sizes 1..=16 and by the committed golden fixtures): the result is
@@ -625,6 +637,71 @@ mod tests {
                 } else {
                     assert_eq!(&a.model_space, b, "{variant:?} precomputed-cache batch diverged");
                 }
+            }
+        }
+    }
+
+    /// Parity wall for the layer-state memo: a 2-layer model on a world
+    /// where some nodes exceed the fan-out (sampled, centre-dependent) and
+    /// others do not (complete, memoised). Consecutive batches on one
+    /// scratch — the memo warm from the batches before — serve exactly the
+    /// uncached reference on a fresh scratch: bit for bit from a cold
+    /// scratch, and at the build's tier with the publish-time cache
+    /// installed (exact on the f32 tiers, the 5e-3 budget under
+    /// `embed-f16`; the memo itself is always f32).
+    #[test]
+    fn memo_warm_batches_match_the_uncached_reference() {
+        let (world, ds) = generate_dataset(gaia_synth::WorldConfig::tiny());
+        let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
+        cfg.channels = 8;
+        cfg.kernel_groups = 2;
+        cfg.layers = 2;
+        cfg.ego = EgoConfig { hops: 2, fanout: 3 };
+        let model = Gaia::new(cfg.clone(), 21);
+        let fanout = cfg.ego.fanout;
+        let degree = |v: usize| world.graph.degree(v);
+        assert!((0..ds.n).any(|v| degree(v) > fanout), "world needs sampled nodes");
+        assert!((0..ds.n).any(|v| (1..=fanout).contains(&degree(v))), "and complete ones");
+        let reference: Vec<Vec<f32>> = (0..ds.n)
+            .map(|v| {
+                let mut bare = InferenceScratch::new();
+                predict_one_with(&model, &ds, &world.graph, v, 3, &mut bare).model_space
+            })
+            .collect();
+        // Two sweeps over every shop, the second reversed so its batches
+        // group differently; within a sweep, later batches find earlier
+        // centres' neighbourhoods memoised.
+        let forward: Vec<usize> = (0..ds.n).collect();
+        let backward: Vec<usize> = (0..ds.n).rev().collect();
+        for published in [false, true] {
+            let mut scratch = InferenceScratch::new();
+            if published {
+                scratch.install_embed_cache(model.precompute_embeddings(&ds).into_shared());
+            }
+            let mut memo_after_sweep = Vec::new();
+            for sweep in [&forward, &backward] {
+                for batch in sweep.chunks(8) {
+                    for p in predict_batch_with(&model, &ds, &world.graph, batch, 3, &mut scratch) {
+                        let want = &reference[p.node];
+                        if published && cfg!(feature = "embed-f16") {
+                            for (g, w) in p.model_space.iter().zip(want) {
+                                let tol = 5e-3 * w.abs().max(1.0);
+                                assert!((g - w).abs() <= tol, "shop {}: {g} vs {w}", p.node);
+                            }
+                        } else {
+                            assert_eq!(&p.model_space, want, "shop {} ({published})", p.node);
+                        }
+                    }
+                }
+                memo_after_sweep.push(scratch.cached_layer_states());
+            }
+            assert!(memo_after_sweep[0] > 0, "the memo never filled");
+            // The second sweep revisits the same egos, so every complete
+            // node it meets is already memoised.
+            assert_eq!(memo_after_sweep[0], memo_after_sweep[1], "second sweep grew the memo");
+            for (layer, node) in scratch.cache.layer_state_keys() {
+                assert_eq!(layer, 1, "only the non-final layer is memoised");
+                assert!(degree(node) <= fanout, "node {node} above the fan-out was memoised");
             }
         }
     }

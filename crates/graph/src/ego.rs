@@ -19,6 +19,11 @@ pub struct EgoSubgraph {
     pub adj: Vec<Vec<LocalNeighbor>>,
     /// Hop distance of each local node from the centre.
     pub hops: Vec<u8>,
+    /// True for a local node that was expanded (hop < `hops`) with
+    /// `degree ≤ fanout`, so nothing was sampled away: every graph
+    /// neighbour is in the subgraph and `adj` lists them all in CSR order,
+    /// whatever the centre.
+    pub complete: Vec<bool>,
 }
 
 /// A neighbour entry inside an [`EgoSubgraph`].
@@ -135,12 +140,17 @@ pub fn extract_ego_into<'s, R: Rng>(
     scratch.next.clear();
     scratch.ego.nodes.clear();
     scratch.ego.hops.clear();
+    scratch.ego.complete.clear();
 
     scratch.ego.nodes.push(center as u32);
     scratch.ego.hops.push(0);
+    scratch.ego.complete.push(false);
     scratch.local_of.insert(center as u32, 0u32);
     scratch.frontier.push(center as u32);
 
+    // Local id of `frontier[0]`: each hop's nodes are appended to `nodes`
+    // in the order they enter the next frontier.
+    let mut frontier_start = 0;
     for hop in 1..=cfg.hops {
         for i in 0..scratch.frontier.len() {
             let u = scratch.frontier[i];
@@ -150,6 +160,8 @@ pub fn extract_ego_into<'s, R: Rng>(
             if nbs.len() > cfg.fanout {
                 scratch.sample.shuffle(rng);
                 scratch.sample.truncate(cfg.fanout);
+            } else {
+                scratch.ego.complete[frontier_start + i] = true;
             }
             for nb in &scratch.sample {
                 if let std::collections::hash_map::Entry::Vacant(slot) =
@@ -158,10 +170,12 @@ pub fn extract_ego_into<'s, R: Rng>(
                     slot.insert(scratch.ego.nodes.len() as u32);
                     scratch.ego.nodes.push(nb.node);
                     scratch.ego.hops.push(hop as u8);
+                    scratch.ego.complete.push(false);
                     scratch.next.push(nb.node);
                 }
             }
         }
+        frontier_start = scratch.ego.nodes.len() - scratch.next.len();
         std::mem::swap(&mut scratch.frontier, &mut scratch.next);
         scratch.next.clear();
         if scratch.frontier.is_empty() {
@@ -296,6 +310,43 @@ mod tests {
         assert_eq!(single.len(), 1);
         assert_eq!(single.adj.len(), 1);
         assert!(single.adj[0].is_empty());
+    }
+
+    /// `complete` marks exactly the expanded nodes whose whole neighbour
+    /// list fits under the fan-out, and their in-ego adjacency is their
+    /// full CSR list in CSR order — for every centre that reaches them.
+    #[test]
+    fn complete_nodes_keep_their_full_csr_adjacency() {
+        // 0 — {1, 2, 3}; 1 is a hub with ten more leaves; 2 — 3.
+        let mut edges: Vec<Edge> =
+            (1..4).map(|i| Edge { src: 0, dst: i, ty: EdgeType::SameOwner }).collect();
+        edges.extend((4..14).map(|i| Edge { src: 1, dst: i, ty: EdgeType::SupplyChain }));
+        edges.push(Edge { src: 2, dst: 3, ty: EdgeType::SameShareholder });
+        let g = EsellerGraph::from_edges(14, &edges);
+        let cfg = EgoConfig { hops: 2, fanout: 5 };
+        for center in [0usize, 2, 3, 5] {
+            let ego = extract_ego(&g, center, &cfg, &mut StdRng::seed_from_u64(center as u64));
+            assert_eq!(ego.complete.len(), ego.len());
+            for local in 0..ego.len() {
+                let orig = ego.nodes[local] as usize;
+                let expanded = (ego.hops[local] as usize) < cfg.hops;
+                let want = expanded && g.degree(orig) <= cfg.fanout;
+                assert_eq!(ego.complete[local], want, "centre {center}, node {orig}");
+                if want {
+                    let got: Vec<(u32, EdgeType)> = ego
+                        .neighbors(local)
+                        .iter()
+                        .map(|nb| (ego.nodes[nb.local as usize], nb.ty))
+                        .collect();
+                    let csr: Vec<(u32, EdgeType)> =
+                        g.neighbors(orig).iter().map(|nb| (nb.node, nb.ty)).collect();
+                    assert_eq!(got, csr, "centre {center}, node {orig}");
+                }
+            }
+        }
+        // The hub is never complete, wherever it sits.
+        let ego = extract_ego(&g, 1, &cfg, &mut StdRng::seed_from_u64(1));
+        assert!(!ego.complete[0]);
     }
 
     #[test]

@@ -195,8 +195,9 @@ impl InferenceContext<'_> {
     /// publish-time embeddings and layer-0 projections. Results are
     /// element-wise identical to calling [`InferenceContext::predict`] per
     /// shop, which is a batch of one on this same path. Picks up a newly
-    /// published model automatically; a hot swap replaces the context's
-    /// cached node embeddings.
+    /// published snapshot automatically: any publish — model, delta or
+    /// full — installs the snapshot's cache in place of the context's, so
+    /// memoised layer states never outlive the graph they were built on.
     pub fn predict_batch(&mut self, shops: &[usize]) -> Vec<Prediction> {
         let (snap, epoch) = self.reader.get_with_epoch();
         if epoch != self.cache_epoch {
@@ -227,6 +228,13 @@ impl InferenceContext<'_> {
     /// fast path; full coverage means no request ever convolves K/V).
     pub fn cached_projections(&self) -> usize {
         self.scratch.cached_projections()
+    }
+
+    /// Number of centre-independent `(layer, node)` hidden states this
+    /// context has memoised for the served snapshot. Stays 0 for a 1-layer
+    /// model: its only layer is the final one, which is never memoised.
+    pub fn cached_layer_states(&self) -> usize {
+        self.scratch.cached_layer_states()
     }
 
     /// Fresh tensor buffers this context's reused tape has ever allocated
@@ -1183,6 +1191,92 @@ mod tests {
                 &reference.model_space,
                 &format!("shop {shop} vs uncached reference"),
             );
+        }
+    }
+
+    /// The layer-state memo is bypassed by a 1-layer model (serve-100k's
+    /// shape): its only ITA layer is the final one, so a context serving
+    /// many batches never memoises a state.
+    #[test]
+    fn one_layer_model_never_memoises_layer_states() {
+        let (server, _, _) = untrained_server(60, 13);
+        assert_eq!(server.snapshot().model.cfg.layers, 1);
+        let mut ctx = server.inference_context();
+        for round in 0..4 {
+            for batch in (0..60).collect::<Vec<usize>>().chunks(8) {
+                ctx.predict_batch(batch);
+            }
+            assert_eq!(ctx.cached_layer_states(), 0, "round {round} memoised a layer state");
+        }
+        assert_eq!(ctx.served(), 4 * 60);
+    }
+
+    /// A snapshot change drops the memo: a 2-layer context that has
+    /// memoised a complete shop's layer-1 state serves, after a delta that
+    /// adds a supply edge to that shop and rewrites one of its neighbours'
+    /// sales, exactly what a fresh context and the uncached reference
+    /// serve on the new snapshot. A memo that survived the swap would
+    /// replay the old neighbourhood's state.
+    #[test]
+    fn delta_publish_drops_memoised_layer_states() {
+        use gaia_synth::MonthlySales;
+        let wc = WorldConfig { n_shops: 80, seed: 17, ..WorldConfig::tiny() };
+        let (mut world, ds) = generate_dataset(wc);
+        let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
+        cfg.channels = 8;
+        cfg.kernel_groups = 2;
+        cfg.layers = 2;
+        cfg.ego = EgoConfig { hops: 2, fanout: 4 };
+        let artifact = ModelArtifact {
+            version: 1,
+            config: cfg.clone(),
+            checkpoint: Gaia::new(cfg.clone(), 7).checkpoint(),
+            final_train_loss: 0.0,
+        };
+        let server = ModelServer::new(&artifact, world.graph.clone(), ds, 42);
+        // A shop that stays complete after gaining one edge, and a shop
+        // not yet linked to it to supply it.
+        let graph = &world.graph;
+        let target = (0..graph.num_nodes())
+            .find(|&v| (1..cfg.ego.fanout).contains(&graph.degree(v)))
+            .expect("a shop with spare fan-out");
+        let neighbour = graph.neighbors(target)[0].node;
+        let supplier = (0..graph.num_nodes() as u32)
+            .find(|&v| {
+                v as usize != target && graph.neighbors(target).iter().all(|nb| nb.node != v)
+            })
+            .unwrap();
+        let shops: Vec<usize> = vec![target, neighbour as usize, supplier as usize];
+
+        let mut ctx = server.inference_context();
+        let before = ctx.predict_batch(&shops);
+        assert!(ctx.cached_layer_states() > 0, "the target's layer-1 state was not memoised");
+
+        assert!(world.add_supply_edge(supplier, target as u32));
+        let window: Vec<MonthlySales> = (0..server.snapshot().ds.horizon + 2)
+            .map(|m| MonthlySales {
+                gmv: 7_000.0 + 300.0 * m as f64,
+                orders: 50.0,
+                customers: 20.0,
+            })
+            .collect();
+        world.record_sales(neighbour, &window);
+        let dirty = world.take_dirty();
+        server.publish_delta(&world, &dirty);
+        let snap = server.snapshot();
+        assert!(snap.graph.degree(target) <= cfg.ego.fanout, "the target must stay complete");
+
+        let after = ctx.predict_batch(&shops);
+        let fresh = server.inference_context().predict_batch(&shops);
+        for ((a, f), b) in after.iter().zip(&fresh).zip(&before) {
+            assert_eq!(a.model_space, f.model_space, "shop {}: warm vs fresh context", a.node);
+            let mut bare = InferenceScratch::new();
+            let reference =
+                predict_one_with(&snap.model, &snap.ds, &snap.graph, a.node, 42, &mut bare);
+            assert_uncached_tier(&a.model_space, &reference.model_space, "vs uncached reference");
+            if a.node == target {
+                assert_ne!(a.model_space, b.model_space, "the delta must move the target");
+            }
         }
     }
 
