@@ -677,37 +677,6 @@ impl EmbedCache {
         self.states.extend(other.states);
         self.state_proj.extend(other.state_proj);
     }
-
-    /// Shard slice of a frozen cache: keep only the shared segments `keep`
-    /// selects, dropping the rest. Kept segments are `Arc` bumps of the
-    /// **same allocations** — [`EmbedCache::segment_addr`] returns identical
-    /// addresses for them, so per-shard slices of one publish (and
-    /// successive slices of copy-on-write republishes) share every retained
-    /// chunk's heap storage with the master cache and with each other.
-    /// Dropped segments read as absent; a lookup there falls back to the
-    /// caller's recompute path exactly like an unpopulated cache. Local
-    /// overlay entries (if any) are carried over unchanged regardless of
-    /// segment.
-    pub fn retain_segments(&self, keep: impl Fn(usize) -> bool) -> Self {
-        Self {
-            pages: self
-                .pages
-                .iter()
-                .enumerate()
-                .map(|(p, page)| {
-                    Arc::new(std::array::from_fn(|i| {
-                        page[i].as_ref().filter(|_| keep(p * PAGE_SEGMENTS + i)).cloned()
-                    }))
-                })
-                .collect(),
-            segments: self.segments,
-            dims: self.dims,
-            local: self.local.clone(),
-            proj_local: self.proj_local.clone(),
-            states: self.states.clone(),
-            state_proj: self.state_proj.clone(),
-        }
-    }
 }
 
 /// Encode an f32 tensor payload into a frozen block span.
@@ -1159,40 +1128,6 @@ mod tests {
         let mut right = EmbedCache::new();
         insert_probe_block(&mut right, &[5]);
         left.merge_disjoint(right);
-    }
-
-    /// Shard slices are Arc bumps of the master's segments: kept segments
-    /// keep their address (shared storage), dropped ones read as absent and
-    /// fall back to the miss path exactly like an unpopulated cache.
-    #[test]
-    fn retain_segments_is_an_arc_bump_slice() {
-        let n = SEGMENT_NODES * 3;
-        let master = frozen(n);
-        let slice = master.retain_segments(|seg| seg != 1);
-        // Kept segments share the master's allocations verbatim.
-        assert_eq!(slice.segment_addr(0), master.segment_addr(0));
-        assert_eq!(slice.segment_addr(2), master.segment_addr(2));
-        // The dropped one is simply absent — lookups miss, nothing panics.
-        assert_eq!(slice.segment_addr(1), None);
-        let dropped = SEGMENT_NODES + 3;
-        assert!(!slice.has_embed(dropped));
-        assert_eq!(slice.embed_vec(dropped), None);
-        assert_eq!(slice.proj_vec(dropped, ProjSlot::Q), None);
-        // Kept nodes read the same values as through the master.
-        for v in [0, SEGMENT_NODES - 1, SEGMENT_NODES * 2, n - 1] {
-            assert_eq!(embed_of(&slice, v), embed_of(&master, v), "embed {v}");
-            assert_eq!(slice.proj_vec(v, ProjSlot::Q), master.proj_vec(v, ProjSlot::Q));
-        }
-        // len() counts only retained nodes; the master is untouched.
-        assert_eq!(slice.len(), n - SEGMENT_NODES);
-        assert_eq!(master.len(), n);
-        // A slice of a copy-on-write republish still shares every clean
-        // retained segment with the previous slice.
-        let mut next = master.clone();
-        next.insert(SEGMENT_NODES * 2 + 1, probe(12345));
-        let next_slice = next.into_shared().retain_segments(|seg| seg != 1);
-        assert_eq!(next_slice.segment_addr(0), slice.segment_addr(0));
-        assert_ne!(next_slice.segment_addr(2), slice.segment_addr(2));
     }
 
     #[test]

@@ -9,7 +9,6 @@ pub mod closure;
 pub mod ego;
 pub mod graph;
 pub mod mining;
-pub mod shard;
 pub mod stats;
 
 pub use closure::dirty_closure;
@@ -18,5 +17,4 @@ pub use graph::{Edge, EdgeType, EsellerGraph, Neighbor};
 pub use mining::{
     lagged_correlation, mine_supply_chain, relations_to_edges, MinedRelation, MiningConfig,
 };
-pub use shard::ShardMap;
 pub use stats::{GraphStats, Histogram};

@@ -14,7 +14,6 @@
 
 pub mod offline;
 pub mod server;
-pub mod shard;
 pub mod swap;
 
 pub use offline::{ModelArtifact, OfflinePipeline};
@@ -22,5 +21,4 @@ pub use server::{
     linearity_r2, DeltaPublishStats, InferenceContext, ModelServer, ModelSnapshot, ServeConfig,
     ServeStats,
 };
-pub use shard::{ShardSnapshot, ShardedModelServer};
 pub use swap::{Swap, SwapReader};

@@ -133,21 +133,13 @@ pub struct ServeStats {
     /// preallocated range saturates into it (see `record_batch_size`)
     /// instead of panicking the worker.
     pub per_batch_size: Vec<usize>,
-    /// Requests attributed to each **home shard** — counted where they
-    /// were served, so the vector sums to `requests` even when a stealing
-    /// worker drained another shard's queue. Empty on the unsharded paths
-    /// ([`ModelServer`] has a single implicit shard).
-    pub per_shard: Vec<usize>,
-    /// Requests served by a worker other than their home shard's pinned
-    /// one (work stealing). Always `0` on the unsharded paths.
-    pub stolen: usize,
 }
 
 /// Count one drained micro-batch of `batch_len` requests into the size
 /// histogram, saturating out-of-range sizes into the **last** bucket: a
 /// drain strategy that ever overshoots the preallocated cap (or a zero
 /// cap) must degrade the telemetry, never panic the serving worker.
-pub(crate) fn record_batch_size(hist: &mut [usize], batch_len: usize) {
+fn record_batch_size(hist: &mut [usize], batch_len: usize) {
     let bucket = batch_len.saturating_sub(1).min(hist.len().saturating_sub(1));
     if let Some(count) = hist.get_mut(bucket) {
         *count += 1;
@@ -160,7 +152,7 @@ pub(crate) fn record_batch_size(hist: &mut [usize], batch_len: usize) {
 /// or a half-up rounding between two samples, so a reported percentile is
 /// always a latency that actually occurred and p50 of an even-length
 /// window is the **lower** middle sample.
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
+fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -435,8 +427,6 @@ impl ModelServer {
                 latency_p99: 0.0,
                 per_worker: vec![0; workers],
                 per_batch_size: vec![0; micro_batch],
-                per_shard: Vec::new(),
-                stolen: 0,
             };
             return (Vec::new(), stats);
         }
@@ -516,8 +506,6 @@ impl ModelServer {
             latency_p99: percentile(&latencies, 0.99),
             per_worker,
             per_batch_size,
-            per_shard: Vec::new(),
-            stolen: 0,
         };
         (preds, stats)
     }
@@ -938,8 +926,6 @@ mod tests {
         assert_eq!(stats.latency_p99, 0.0);
         assert_eq!(stats.per_worker.iter().sum::<usize>(), 0);
         assert_eq!(stats.per_batch_size.iter().sum::<usize>(), 0);
-        assert!(stats.per_shard.is_empty(), "unsharded path reports no shard attribution");
-        assert_eq!(stats.stolen, 0);
         // A micro-batch cap hits the same early return.
         let (preds, stats) = server.serve(&[], ServeConfig { workers: 2, micro_batch: 8 });
         assert!(preds.is_empty());

@@ -1,7 +1,7 @@
 //! Epoch-based atomic snapshot publisher — the serving hot-swap primitive.
 //!
 //! [`Swap<T>`] holds the currently-published `Arc<T>` behind a monotonically
-//! increasing epoch counter. Publishing ([`Swap::store`]) installs a new
+//! increasing epoch counter. Publishing ([`Swap::update`]) installs a new
 //! `Arc` and bumps the epoch; readers hold a [`SwapReader`] handle that
 //! caches the `Arc` and revalidates it with a **single atomic load** per
 //! access. In the steady state (no publish in flight) readers touch no lock,
@@ -36,8 +36,8 @@ pub struct Swap<T> {
     /// never while a snapshot is being built, and never on the
     /// steady-state read path.
     current: Mutex<Arc<T>>,
-    /// Serialises publishers ([`Swap::store`] and [`Swap::update`]) for
-    /// the whole read-modify-write, so readers never contend with it.
+    /// Serialises publishers ([`Swap::update`]) for the whole
+    /// read-modify-write, so readers never contend with it.
     publisher: Mutex<()>,
 }
 
@@ -45,13 +45,6 @@ impl<T> Swap<T> {
     /// Create a cell holding `initial` at epoch 0.
     pub fn new(initial: Arc<T>) -> Self {
         Self { epoch: AtomicU64::new(0), current: Mutex::new(initial), publisher: Mutex::new(()) }
-    }
-
-    /// Publish a new snapshot. A single pointer-sized store makes it visible;
-    /// in-flight readers finish on the snapshot they already hold.
-    pub fn store(&self, next: Arc<T>) {
-        let _publishing = self.publisher.lock().expect("swap publisher poisoned");
-        self.install(next);
     }
 
     /// Publish a snapshot **derived from the current one**: `f` runs with
@@ -63,6 +56,8 @@ impl<T> Swap<T> {
     /// first read after an epoch bump is held only for the `Arc` clone
     /// before `f` and the install after it, so they keep serving their
     /// cached snapshot (or load the current one) while the next is built.
+    /// A snapshot built without the current one ignores the argument:
+    /// `swap.update(|_| Arc::new(next))`.
     pub fn update<F: FnOnce(&Arc<T>) -> Arc<T>>(&self, f: F) {
         let _publishing = self.publisher.lock().expect("swap publisher poisoned");
         let current = self.load_full();
@@ -151,7 +146,7 @@ mod tests {
         let swap = Swap::new(Arc::new(1u64));
         assert_eq!(*swap.load_full(), 1);
         assert_eq!(swap.epoch(), 0);
-        swap.store(Arc::new(2));
+        swap.update(|_| Arc::new(2));
         assert_eq!(*swap.load_full(), 2);
         assert_eq!(swap.epoch(), 1);
     }
@@ -164,7 +159,7 @@ mod tests {
         // Same epoch: get() must return the same Arc allocation.
         let first = Arc::clone(r.get());
         assert!(Arc::ptr_eq(&first, r.get()));
-        swap.store(Arc::new(11));
+        swap.update(|_| Arc::new(11));
         assert_eq!(**r.get(), 11);
         assert!(!Arc::ptr_eq(&first, r.get()));
     }
@@ -175,7 +170,7 @@ mod tests {
         let swap = Swap::new(Arc::clone(&first));
         let mut r = swap.reader();
         r.get();
-        swap.store(Arc::new(6));
+        swap.update(|_| Arc::new(6));
         // The reader still pins the old snapshot...
         assert!(Arc::strong_count(&first) >= 2);
         // ...until it revalidates; then only our local handle remains.
@@ -227,7 +222,7 @@ mod tests {
         use std::time::Duration;
         let swap = Swap::new(Arc::new(1u64));
         let mut reader = swap.reader();
-        swap.store(Arc::new(2));
+        swap.update(|_| Arc::new(2));
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let (read_tx, read_rx) = mpsc::channel();
@@ -241,7 +236,7 @@ mod tests {
                 });
             });
             entered_rx.recv().unwrap();
-            // The reader is stale (a store landed after it was made), so
+            // The reader is stale (a publish landed after it was made), so
             // its `get` takes the slot lock — which `f` must not be holding.
             scope.spawn(move || {
                 let got = **reader.get();
@@ -256,7 +251,7 @@ mod tests {
     }
 
     /// Hammer the cell: four readers spin on `get` while the publisher
-    /// stores a few thousand snapshots. Every observed snapshot must be
+    /// publishes a few thousand snapshots. Every observed snapshot must be
     /// internally consistent (the two fields are written as a pair), and
     /// every reader must eventually observe the final epoch.
     #[test]
@@ -288,7 +283,7 @@ mod tests {
                 });
             }
             for v in 1..=PUBLISHES {
-                swap.store(Arc::new(Snap { version: v, shadow: v * 3 + 1 }));
+                swap.update(|_| Arc::new(Snap { version: v, shadow: v * 3 + 1 }));
             }
             stop.store(true, Ordering::Release);
         });

@@ -5,7 +5,7 @@ use gaia_core::half::{f16_to_f32, f32_to_f16};
 use gaia_core::trainer::{predict_batch_with, predict_one_with, InferenceScratch};
 use gaia_core::{Gaia, GaiaConfig, ProjSlot};
 use gaia_graph::{extract_ego, Edge, EdgeType, EgoConfig, EsellerGraph};
-use gaia_serving::{ModelArtifact, ModelServer, ServeConfig, ShardedModelServer};
+use gaia_serving::{ModelArtifact, ModelServer, ServeConfig};
 use gaia_synth::{
     build_dataset, generate_dataset, month_of_year, MonthlySales, NewShop, Role, Scaler, World,
     WorldConfig, D_TEMPORAL,
@@ -641,13 +641,18 @@ proptest! {
     /// (history rewrites, supply rewires/severs, new shops, industry moves,
     /// explicit no-ops), `publish_delta` from the world's recorded dirty
     /// set serves the same prediction as a full-teardown `publish_full`
-    /// for **every** shop, including shops born mid-script. Scalar build:
-    /// bit-exact; SIMD build: within 1e-4 relative.
+    /// for **every** shop, including shops born mid-script — both through
+    /// a single context and through `serve`'s worker pool (random worker
+    /// count and micro-batch cap), which must answer in request order with
+    /// telemetry that sums to the request count. Scalar build: bit-exact;
+    /// SIMD build: within 1e-4 relative.
     #[test]
     fn delta_publish_matches_full_rebuild(
         world_seed in 0u64..10_000,
         n_shops in 30usize..70,
         ops in prop::collection::vec((0usize..6, 0u64..1_000_000), 1..33),
+        workers in 1usize..=3,
+        micro_batch in 1usize..=8,
     ) {
         let wc = WorldConfig { n_shops, seed: world_seed, ..WorldConfig::tiny() };
         let (mut world_a, ds) = generate_dataset(wc.clone());
@@ -689,23 +694,37 @@ proptest! {
         prop_assert_eq!(snap_d.world_rev, 1);
         prop_assert_eq!(snap_d.version, 1, "a republish is never a retrain");
 
+        // The worker pool serves the whole grown world, shops born
+        // mid-script included, from the delta-published snapshot.
+        let shops: Vec<usize> = (0..snap_d.ds.n).collect();
+        let (served, stats) = delta_srv.serve(&shops, ServeConfig { workers, micro_batch });
+        prop_assert_eq!(served.len(), shops.len());
+        prop_assert_eq!(stats.requests, shops.len());
+        prop_assert_eq!(stats.per_worker.iter().sum::<usize>(), stats.requests,
+            "every request lands in exactly one worker row");
+        let weighted: usize =
+            stats.per_batch_size.iter().enumerate().map(|(i, c)| (i + 1) * c).sum();
+        prop_assert_eq!(weighted, stats.requests, "batch-size histogram does not sum");
+
         let mut ctx_d = delta_srv.inference_context();
         let mut ctx_f = full_srv.inference_context();
-        for shop in 0..snap_d.ds.n {
+        for (shop, s) in served.iter().enumerate() {
             let d = ctx_d.predict(shop);
             let f = ctx_f.predict(shop);
-            prop_assert_eq!(d.node, f.node);
-            if cfg!(feature = "simd") {
-                for (h, (a, b)) in d.model_space.iter().zip(&f.model_space).enumerate() {
-                    let tol = 1e-4f32 * b.abs().max(1.0);
-                    prop_assert!(
-                        (a - b).abs() <= tol,
-                        "shop {} horizon {}: delta {} vs full {}", shop, h, a, b
-                    );
+            for (path, got) in [("delta", &d), ("served", s)] {
+                prop_assert_eq!(got.node, f.node, "{} answered out of request order", path);
+                if cfg!(feature = "simd") {
+                    for (h, (a, b)) in got.model_space.iter().zip(&f.model_space).enumerate() {
+                        let tol = 1e-4f32 * b.abs().max(1.0);
+                        prop_assert!(
+                            (a - b).abs() <= tol,
+                            "shop {} horizon {}: {} {} vs full {}", shop, h, path, a, b
+                        );
+                    }
+                } else {
+                    prop_assert_eq!(&got.model_space, &f.model_space,
+                        "shop {} ({}) diverged bitwise on the scalar build", shop, path);
                 }
-            } else {
-                prop_assert_eq!(&d.model_space, &f.model_space,
-                    "shop {} diverged bitwise on the scalar build", shop);
             }
         }
     }
@@ -784,95 +803,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// SHARD PARITY WALL — the headline invariant of shard-per-worker
-    /// serving: for random worlds, shard counts (1 through more shards
-    /// than industries) and micro-batch caps, the sharded fleet — per-shard
-    /// queues, pinned workers, work stealing, per-shard snapshot slices —
-    /// returns exactly the unsharded per-request path's predictions, in
-    /// request order; and after a random churn script plus a sharded delta
-    /// republish (which reslices only the affected shards, leaving the
-    /// rest on their previous generation) the grown world still agrees
-    /// shop for shop. Scalar build: bit-exact; SIMD: 1e-4 relative;
-    /// `embed-f16` carries the frozen-cache quantisation budget (5e-3).
-    #[test]
-    fn sharded_routing_matches_unsharded(
-        world_seed in 0u64..10_000,
-        n_shops in 30usize..70,
-        n_shards in 1usize..=6,
-        micro_batch in 1usize..=8,
-        ops in prop::collection::vec((0usize..6, 0u64..1_000_000), 0..9),
-    ) {
-        let wc = WorldConfig { n_shops, seed: world_seed, ..WorldConfig::tiny() };
-        let (mut world, ds) = generate_dataset(wc);
-        let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
-        cfg.channels = 8;
-        cfg.kernel_groups = 2;
-        cfg.layers = 1;
-        cfg.ego = EgoConfig { hops: 1, fanout: 3 };
-        let model = Gaia::new(cfg.clone(), world_seed ^ 0x54AD);
-        let artifact = ModelArtifact {
-            version: 1,
-            config: cfg,
-            checkpoint: model.checkpoint(),
-            final_train_loss: 0.0,
-        };
-        let server = ShardedModelServer::new(&artifact, &world, ds.clone(), n_shards, 42);
-        prop_assert_eq!(server.n_shards(), n_shards.max(1));
-
-        let check_world = |server: &ShardedModelServer, phase: &str| {
-            let n = server.master().snapshot().ds.n;
-            let shops: Vec<usize> = (0..n).collect();
-            let (want, _) =
-                server.master().serve(&shops, ServeConfig { workers: 1, micro_batch: 1 });
-            let (got, stats) = server.serve_sharded(&shops, micro_batch);
-            if got.len() != want.len() {
-                return Err(TestCaseError::fail(format!("{phase}: length mismatch")));
-            }
-            for (a, b) in got.iter().zip(&want) {
-                if a.node != b.node {
-                    return Err(TestCaseError::fail(format!(
-                        "{phase}: order changed at node {} vs {}", a.node, b.node
-                    )));
-                }
-                let exact = !cfg!(any(feature = "simd", feature = "embed-f16"));
-                let rel = if cfg!(feature = "embed-f16") { 5e-3f32 } else { 1e-4 };
-                for (h, (x, y)) in a.model_space.iter().zip(&b.model_space).enumerate() {
-                    let ok = if exact { x == y } else { (x - y).abs() <= rel * y.abs().max(1.0) };
-                    if !ok {
-                        return Err(TestCaseError::fail(format!(
-                            "{phase}: shop {} horizon {h}: sharded {x} vs unsharded {y}", b.node
-                        )));
-                    }
-                }
-            }
-            // Telemetry closure: every request lands in exactly one
-            // worker row, one home-shard row and one batch-size bucket.
-            if stats.per_worker.iter().sum::<usize>() != n
-                || stats.per_shard.iter().sum::<usize>() != n
-            {
-                return Err(TestCaseError::fail(format!("{phase}: attribution does not sum")));
-            }
-            let weighted: usize =
-                stats.per_batch_size.iter().enumerate().map(|(i, c)| (i + 1) * c).sum();
-            if weighted != n {
-                return Err(TestCaseError::fail(format!("{phase}: batch histogram does not sum")));
-            }
-            Ok(())
-        };
-        check_world(&server, "boot")?;
-
-        // Random churn, republished through the sharded delta path: only
-        // affected shards reslice; the rest serve their previous
-        // generation, which this check proves indistinguishable.
-        for &(kind, arg) in &ops {
-            apply_churn_op(&mut world, ds.horizon, kind, arg);
-        }
-        let dirty = world.take_dirty();
-        server.publish_delta(&world, &dirty);
-        prop_assert_eq!(server.shard_map().len(), world.shops.len());
-        check_world(&server, "post-churn")?;
     }
 }
 
