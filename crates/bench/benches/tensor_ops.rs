@@ -1,12 +1,14 @@
 //! Substrate micro-benchmarks: matmul and conv1d at the shapes the models
 //! actually use ([T, C] = [24, 32]), plus the f32 kernel scaling ablation
 //! and the kernel-vs-naive comparisons for the `gaia_tensor::kernels`
-//! layer (blocked matmul, fused conv1d+bias+act, fused attention scores).
+//! layer (blocked matmul, fused conv1d+bias+act, fused attention scores),
+//! and the publish block's conv kernels (`publish_block`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaia_tensor::kernels::{
-    attention_probs_causal_into, attention_scores_into, conv1d_fused_into, matmul_batched_into,
-    matmul_into, matmul_naive_into, matmul_tri_lower_into,
+    attention_probs_causal_into, attention_scores_into, conv1d_fused_batched_into,
+    conv1d_fused_into, conv1d_gate_batched_into, conv1d_projection_bank_into, matmul_batched_into,
+    matmul_into, matmul_naive_into, matmul_tri_lower_into, ProjectionBank, ProjectionLanes,
 };
 use gaia_tensor::{conv1d, softmax_in_place, Activation, PadMode, Tensor};
 use rand::rngs::StdRng;
@@ -335,12 +337,107 @@ fn bench_simd_vs_scalar(c: &mut Criterion) {
     group.finish();
 }
 
+/// The publish block's conv kernels at both model shapes, 32 members with
+/// T = 24: serve (C = 8, K = 2) and paper (C = 32, K = 4). One row per TEL
+/// gate width (`kw = 2, 4, …, 2^K`, `C/K` channels each), and the layer-0
+/// projection bank against the five separate convs it replaces (Q/K width
+/// 3, V width 1, two single-column gate projections).
+fn bench_publish_block(c: &mut Criterion) {
+    const BT: usize = 32;
+    const T: usize = 24;
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut group = c.benchmark_group("publish_block");
+    for (shape, ch, groups) in [("serve", 8usize, 2usize), ("paper", 32, 4)] {
+        let mut randn = |shape: Vec<usize>| Tensor::randn(shape, 0.3, &mut rng);
+        let x = randn(vec![BT, T, ch]);
+        let cw = ch / groups;
+        for kw in (1..=groups).map(|g| 1usize << g) {
+            let (wc, wd) = (randn(vec![kw, ch, cw]), randn(vec![kw, ch, cw]));
+            let (bc, bd) = (randn(vec![cw]), randn(vec![cw]));
+            let mut den = vec![0.0f32; T * cw];
+            let mut out = vec![0.0f32; BT * T * cw];
+            group.bench_function(format!("{shape}/tel_gate_kw{kw}"), |bench| {
+                bench.iter(|| {
+                    conv1d_gate_batched_into(
+                        x.data(),
+                        wc.data(),
+                        bc.data(),
+                        wd.data(),
+                        bd.data(),
+                        BT,
+                        T,
+                        ch,
+                        cw,
+                        kw,
+                        PadMode::Same,
+                        &mut den,
+                        &mut out,
+                    );
+                    black_box(out[0])
+                });
+            });
+        }
+        // (kernel, bias, width, c_out) of Q, K, V, gate source, gate dest.
+        let convs: Vec<(Tensor, Tensor, usize, usize)> =
+            [(3, ch), (3, ch), (1, ch), (1, 1), (1, 1)]
+                .into_iter()
+                .map(|(kw, co)| (randn(vec![kw, ch, co]), randn(vec![co]), kw, co))
+                .collect();
+        let mut outs: Vec<Vec<f32>> = convs.iter().map(|c| vec![0.0f32; BT * T * c.3]).collect();
+        group.bench_function(format!("{shape}/projections_five_convs"), |bench| {
+            bench.iter(|| {
+                for ((w, b, kw, co), out) in convs.iter().zip(outs.iter_mut()) {
+                    conv1d_fused_batched_into(
+                        x.data(),
+                        w.data(),
+                        Some(b.data()),
+                        BT,
+                        T,
+                        ch,
+                        *co,
+                        *kw,
+                        PadMode::Causal,
+                        Activation::Identity,
+                        out,
+                    );
+                }
+                black_box(outs[0][0])
+            });
+        });
+        let kernel = |i: usize| (convs[i].0.data(), convs[i].1.data());
+        let bank = ProjectionBank {
+            kw: 3,
+            q: kernel(0),
+            k: kernel(1),
+            v: kernel(2),
+            gate_src: kernel(3),
+            gate_dst: kernel(4),
+        };
+        group.bench_function(format!("{shape}/projection_bank"), |bench| {
+            bench.iter(|| {
+                let [q, k, v, gate_src, gate_dst] = &mut outs[..] else { unreachable!() };
+                conv1d_projection_bank_into(
+                    x.data(),
+                    &bank,
+                    BT,
+                    T,
+                    ch,
+                    ch,
+                    ProjectionLanes { q, k, v, gate_src, gate_dst },
+                );
+                black_box(outs[0][0])
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2)).sample_size(10);
     targets = bench_matmul, bench_attention_shapes, bench_conv1d,
         bench_matmul_blocked_vs_naive, bench_conv1d_fused_vs_naive,
         bench_attention_scores_fused_vs_naive, bench_matmul_batched_vs_looped,
-        bench_causal_attention_batched_vs_unfused, bench_simd_vs_scalar
+        bench_causal_attention_batched_vs_unfused, bench_simd_vs_scalar, bench_publish_block
 }
 criterion_main!(benches);

@@ -174,22 +174,11 @@ impl ConvolutionalAttentionUnit {
         }
     }
 
-    /// Batched publish-time half of [`Self::precompute_projections`]: Q/K/V
-    /// of a **block** of stacked embeddings `e: [B, T, C]` as one batched
-    /// conv node per projection. Member `i` is bit-identical to the
-    /// per-node `conv.forward` on embedding `i` (the batched conv contract),
-    /// so the cache lanes the block driver bulk-inserts hold exactly what
-    /// the per-node publisher would have stored.
-    pub fn precompute_projections_batched(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        e: VarId,
-    ) -> (VarId, VarId, VarId) {
-        let q = self.lq.forward_act_batched(g, ps, e, Activation::Identity);
-        let k = self.lk.forward_act_batched(g, ps, e, Activation::Identity);
-        let v = self.lv.forward_act_batched(g, ps, e, Activation::Identity);
-        (q, k, v)
+    /// The Q, K and V projection convs, in that order — the CAU's part of
+    /// the publish-time projection bank
+    /// ([`crate::ita::ItaGcnLayer::precompute_block_projections`]).
+    pub(crate) fn projection_convs(&self) -> [&Conv1d; 3] {
+        [&self.lq, &self.lk, &self.lv]
     }
 }
 

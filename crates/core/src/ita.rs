@@ -22,7 +22,8 @@ use crate::cau::{proj_cached, proj_stacked, ConvolutionalAttentionUnit, Partner}
 use crate::config::{GaiaConfig, GaiaVariant};
 use gaia_graph::{EdgeType, EgoSubgraph};
 use gaia_nn::{init, Conv1d, ParamId, ParamStore};
-use gaia_tensor::{Activation, Graph, PadMode, VarId};
+use gaia_tensor::kernels::{self, ProjectionBank, ProjectionLanes};
+use gaia_tensor::{Graph, PadMode, VarId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -218,22 +219,38 @@ impl ItaGcnLayer {
         cache.insert_proj(node, ProjSlot::GateDst, g.value(dv).clone());
     }
 
-    /// Batched publish-time precompute over a **block** of stacked
-    /// embeddings `e: [B, T, C]`: one batched conv node per projection —
-    /// CAU Q/K/V `[B, T, C]` and the gate source/destination `[B, T, 1]`
-    /// lanes — each member bit-identical to
-    /// [`Self::precompute_node_projections`]. The caller reads the stacked
-    /// values and bulk-inserts them with [`EmbedCache::insert_block`].
+    /// Batched publish-time precompute over a **block** of `bt` stacked
+    /// embeddings `e: [bt, t, C]`: all five layer-0 projections — CAU
+    /// Q/K/V `[bt, t, C]` and the gate source/destination `[bt, t, 1]` —
+    /// in one kernel that walks each embedding once
+    /// ([`kernels::conv1d_projection_bank_into`]), written straight into
+    /// `out` with no tape node. Each lane is bit-identical to
+    /// [`Self::precompute_node_projections`] on that member; the caller
+    /// bulk-inserts them with [`EmbedCache::insert_block`].
     pub fn precompute_block_projections(
         &self,
-        g: &mut Graph,
         ps: &ParamStore,
-        e: VarId,
-    ) -> BlockProjections {
-        let (q, k, v) = self.cau.precompute_projections_batched(g, ps, e);
-        let gate_src = self.l_s.forward_act_batched(g, ps, e, Activation::Identity);
-        let gate_dst = self.l_d.forward_act_batched(g, ps, e, Activation::Identity);
-        BlockProjections { q, k, v, gate_src, gate_dst }
+        e: &[f32],
+        bt: usize,
+        t: usize,
+        out: ProjectionLanes<'_>,
+    ) {
+        let kernel = |conv: &Conv1d| {
+            assert_eq!(conv.pad, PadMode::Causal, "ITA projection convs are causal");
+            let b = conv.b.expect("ITA projection convs carry a bias");
+            (ps.get(conv.w).data(), ps.get(b).data())
+        };
+        let [lq, lk, lv] = self.cau.projection_convs();
+        assert_eq!(lq.kernel(), lk.kernel(), "Q and K share one kernel width");
+        let bank = ProjectionBank {
+            kw: lq.kernel(),
+            q: kernel(lq),
+            k: kernel(lk),
+            v: kernel(lv),
+            gate_src: kernel(&self.l_s),
+            gate_dst: kernel(&self.l_d),
+        };
+        kernels::conv1d_projection_bank_into(e, &bank, bt, t, lq.c_in(), lq.c_out(), out);
     }
 
     /// Attention weights `α_{u,·}` over the neighbours of local node `u`,
@@ -265,22 +282,6 @@ impl ItaGcnLayer {
         };
         AttentionDetail { intra, inter, alphas }
     }
-}
-
-/// Stacked layer-0 projection nodes from
-/// [`ItaGcnLayer::precompute_block_projections`]: Q/K/V are `[B, T, C]`,
-/// the gate projections `[B, T, 1]`, all on the caller's tape.
-pub struct BlockProjections {
-    /// CAU query projections.
-    pub q: VarId,
-    /// CAU key projections.
-    pub k: VarId,
-    /// CAU value projections.
-    pub v: VarId,
-    /// Aggregation-gate source projections (`L^s ⋆ E`).
-    pub gate_src: VarId,
-    /// Aggregation-gate destination projections (`L^d ⋆ E`).
-    pub gate_dst: VarId,
 }
 
 /// Introspection bundle from [`ItaGcnLayer::attention_detail`]; all fields

@@ -33,7 +33,7 @@ pub use api::{BlockValues, EmbedCache, GraphForecaster, ProjSlot};
 pub use cau::ConvolutionalAttentionUnit;
 pub use config::{GaiaConfig, GaiaVariant};
 pub use ffl::FeatureFusionLayer;
-pub use ita::{AttentionDetail, BlockProjections, ItaGcnLayer};
+pub use ita::{AttentionDetail, ItaGcnLayer};
 pub use model::{Gaia, PublishStageProfile, PUBLISH_BLOCK};
 pub use tel::TemporalEmbeddingLayer;
 pub use trainer::{

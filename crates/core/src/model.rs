@@ -8,6 +8,7 @@ use crate::ita::{AttentionDetail, ItaGcnLayer};
 use crate::tel::TemporalEmbeddingLayer;
 use gaia_graph::{EgoConfig, EgoSubgraph};
 use gaia_nn::{init, Conv1d, ParamId, ParamStore};
+use gaia_tensor::kernels::ProjectionLanes;
 use gaia_tensor::{Activation, Graph, PadMode, Tensor, VarId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,8 +79,8 @@ pub const PUBLISH_BLOCK: usize = 32;
 /// Worker threads for a full publish over `n` nodes: the available
 /// parallelism, capped so every worker owns at least one whole cache
 /// segment (workers write disjoint segments — see
-/// [`Gaia::precompute_embeddings_batched`]). Exactly 1 on today's
-/// single-core containers.
+/// [`Gaia::precompute_embeddings_batched`]). On a 2-vCPU host a world of
+/// more than one segment gets 2 workers.
 fn publish_workers(n: usize) -> usize {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     cores.min(n.div_ceil(crate::api::SEGMENT_NODES)).max(1)
@@ -368,13 +369,13 @@ impl Gaia {
     /// followed by a freeze yields the same cache (bit-exact on the scalar
     /// build; the simd/embed-f16 tolerance tiers are measured against it).
     ///
-    /// Parallel-ready: with >1 available core, worker threads take
+    /// Parallel: with more than one available core, worker threads take
     /// disjoint node ranges chunked on [`crate::api::SEGMENT_NODES`]
     /// boundaries — each worker owns whole cache segments, so the merge is
     /// a move of disjoint `Arc`s ([`EmbedCache::merge_disjoint`]) and no
-    /// two workers ever write one segment. On today's single-core
-    /// containers the scoped-thread pool degenerates to the sequential
-    /// loop.
+    /// two workers ever write one segment. With one core, or a world of
+    /// one segment, it runs the sequential block loop on the calling
+    /// thread.
     pub fn precompute_embeddings_batched(
         &self,
         ds: &gaia_synth::Dataset,
@@ -384,7 +385,7 @@ impl Gaia {
         let ranges = publish_chunks(ds.n, publish_workers(ds.n));
         if ranges.len() <= 1 {
             let mut cache = EmbedCache::new();
-            self.precompute_range(ds, 0..ds.n, block, &mut cache);
+            self.precompute_range(ds, 0..ds.n, block, &mut cache, None);
             return cache;
         }
         let parts: Vec<EmbedCache> = std::thread::scope(|scope| {
@@ -394,7 +395,7 @@ impl Gaia {
                     let range = range.clone();
                     scope.spawn(move || {
                         let mut cache = EmbedCache::new();
-                        self.precompute_range(ds, range, block, &mut cache);
+                        self.precompute_range(ds, range, block, &mut cache, None);
                         cache
                     })
                 })
@@ -409,13 +410,16 @@ impl Gaia {
         cache
     }
 
-    /// Sequential block loop over one node range on one reused tape.
+    /// Sequential block loop over one node range on one reused tape, the
+    /// one loop every full publish runs. With `profile`, each block's
+    /// stage times are added to it.
     fn precompute_range(
         &self,
         ds: &gaia_synth::Dataset,
         range: std::ops::Range<usize>,
         block: usize,
         cache: &mut EmbedCache,
+        mut profile: Option<&mut PublishStageProfile>,
     ) {
         let mut g = Graph::for_inference();
         let mut nodes: Vec<usize> = Vec::with_capacity(block);
@@ -424,18 +428,18 @@ impl Gaia {
             let hi = (lo + block).min(range.end);
             nodes.clear();
             nodes.extend(lo..hi);
-            self.precompute_block(&mut g, ds, &nodes, cache, None);
+            self.precompute_block(&mut g, ds, &nodes, cache, profile.as_deref_mut());
             lo = hi;
         }
     }
 
     /// One publish block: reset the tape, run the stacked FFL → TEL
-    /// forward and the batched layer-0 projections, and bulk-insert every
-    /// lane. Full-size blocks reuse the tape's pooled buffers, so the
-    /// steady state allocates nothing fresh (pinned by a unit test).
-    /// With `profile`, per-stage wall time is accumulated (define-by-run
-    /// tapes compute eagerly, so stage boundaries are real work
-    /// boundaries).
+    /// forward, compute the five layer-0 projections in one bank kernel
+    /// into pooled scratch buffers, and bulk-insert every lane. Full-size
+    /// blocks reuse the tape's pooled buffers, so the steady state
+    /// allocates nothing fresh (pinned by a unit test). With `profile`,
+    /// per-stage wall time is accumulated (define-by-run tapes compute
+    /// eagerly, so stage boundaries are real work boundaries).
     fn precompute_block(
         &self,
         g: &mut Graph,
@@ -454,31 +458,43 @@ impl Gaia {
         }
         let t1 = profile.as_ref().map(|_| std::time::Instant::now());
         let layer0 = self.layers.first().expect("GaiaConfig::validate requires layers >= 1");
-        let p = layer0.precompute_block_projections(g, &self.ps, e);
+        let (bt, t, c) = {
+            let shape = g.value(e).shape();
+            (shape[0], shape[1], shape[2])
+        };
+        let [mut q, mut k, mut v] = [(); 3].map(|_| g.alloc_scratch(&[bt, t, c]));
+        let [mut gate_src, mut gate_dst] = [(); 2].map(|_| g.alloc_scratch(&[bt, t, 1]));
+        let lanes = ProjectionLanes {
+            q: q.data_mut(),
+            k: k.data_mut(),
+            v: v.data_mut(),
+            gate_src: gate_src.data_mut(),
+            gate_dst: gate_dst.data_mut(),
+        };
+        layer0.precompute_block_projections(&self.ps, g.value(e).data(), bt, t, lanes);
         if let (Some(prof), Some(t1)) = (profile.as_deref_mut(), t1) {
             prof.projection_seconds += t1.elapsed().as_secs_f64();
         }
         let t2 = profile.as_ref().map(|_| std::time::Instant::now());
-        let (t, c) = {
-            let shape = g.value(e).shape();
-            (shape[1], shape[2])
-        };
         let vals = crate::api::BlockValues {
             embed: g.value(e).data(),
-            q: g.value(p.q).data(),
-            k: g.value(p.k).data(),
-            v: g.value(p.v).data(),
-            gate_src: g.value(p.gate_src).data(),
-            gate_dst: g.value(p.gate_dst).data(),
+            q: q.data(),
+            k: k.data(),
+            v: v.data(),
+            gate_src: gate_src.data(),
+            gate_dst: gate_dst.data(),
         };
         cache.insert_block(nodes, t, c, &vals);
+        for buf in [q, k, v, gate_src, gate_dst] {
+            g.recycle_scratch(buf);
+        }
         if let (Some(prof), Some(t2)) = (profile, t2) {
             prof.insert_seconds += t2.elapsed().as_secs_f64();
         }
     }
 
-    /// Sequential profiled publish: same work as
-    /// [`Gaia::precompute_embeddings_batched`] (single-threaded), also
+    /// Sequential profiled publish: the block loop of
+    /// [`Gaia::precompute_embeddings_batched`] on one thread, also
     /// returning the per-stage wall-clock breakdown — the
     /// `profile_serving` bench bin's publish section.
     pub fn precompute_embeddings_profiled(
@@ -489,16 +505,7 @@ impl Gaia {
         assert!(block > 0, "precompute_embeddings_profiled: block size must be positive");
         let mut cache = EmbedCache::new();
         let mut profile = PublishStageProfile::default();
-        let mut g = Graph::for_inference();
-        let mut nodes: Vec<usize> = Vec::with_capacity(block);
-        let mut lo = 0;
-        while lo < ds.n {
-            let hi = (lo + block).min(ds.n);
-            nodes.clear();
-            nodes.extend(lo..hi);
-            self.precompute_block(&mut g, ds, &nodes, &mut cache, Some(&mut profile));
-            lo = hi;
-        }
+        self.precompute_range(ds, 0..ds.n, block, &mut cache, Some(&mut profile));
         (cache, profile)
     }
 
@@ -732,7 +739,7 @@ mod tests {
         let mut merged: Option<EmbedCache> = None;
         for range in publish_chunks(ds.n, 3) {
             let mut part = EmbedCache::new();
-            model.precompute_range(&ds, range, 12, &mut part);
+            model.precompute_range(&ds, range, 12, &mut part, None);
             match merged.as_mut() {
                 Some(m) => m.merge_disjoint(part),
                 None => merged = Some(part),

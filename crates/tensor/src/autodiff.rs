@@ -123,6 +123,19 @@ impl Graph {
         self.pool.reuses()
     }
 
+    /// Draw a pooled buffer of `shape` for a kernel whose output never
+    /// becomes a tape node (its contents are unspecified; the kernel must
+    /// write every element). Hand it back with [`Graph::recycle_scratch`]
+    /// so the next pass reuses it.
+    pub fn alloc_scratch(&mut self, shape: &[usize]) -> Tensor {
+        self.pool.alloc(shape)
+    }
+
+    /// Return a buffer drawn with [`Graph::alloc_scratch`] to the pool.
+    pub fn recycle_scratch(&mut self, t: Tensor) {
+        self.pool.recycle(t);
+    }
+
     /// Number of nodes currently on the tape.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -1353,9 +1366,11 @@ impl Graph {
     /// Batched gated conv pair — the TEL pattern
     /// `ReLU(x ⋆ w_c + b_c) ⊙ σ(x ⋆ w_d + b_d)` as **one** kernel pass
     /// ([`kernels::conv1d_gate_batched_into`]): both banks fold each input
-    /// element into register accumulators on a single walk and the gate
-    /// product is applied in the epilogue, so neither pre-gate tensor is
-    /// ever materialised. Elementwise bit-identical to the composition
+    /// element into register accumulators on a single walk, and the gate
+    /// product runs as one flat map per member over the stashed
+    /// pre-activations (the denoise half in a one-member pooled scratch),
+    /// so no batch-sized pre-gate tensor is materialised on the tape.
+    /// Elementwise bit-identical to the composition
     /// `mul(conv1d_act(x, w_c, b_c, Relu), conv1d_act(x, w_d, b_d, Sigmoid))`.
     ///
     /// Backward recomputes both pre-activation tensors (one Identity conv
@@ -1388,6 +1403,7 @@ impl Graph {
             "conv1d_gate_batched: bank kernels must share geometry"
         );
         let mut v = self.pool.alloc(&[bt, t_len, c_out]);
+        let mut den = self.pool.alloc(&[t_len, c_out]);
         kernels::conv1d_gate_batched_into(
             self.nodes[x].value.data(),
             self.nodes[w_c].value.data(),
@@ -1400,8 +1416,10 @@ impl Graph {
             c_out,
             kw,
             pad,
+            den.data_mut(),
             v.data_mut(),
         );
+        self.pool.recycle(den);
         self.push_op(v, &[x, w_c, b_c, w_d, b_d], || {
             Box::new(move |g, inputs, _, pool| {
                 let (x, wc, bc, wd, bd) = (inputs[0], inputs[1], inputs[2], inputs[3], inputs[4]);

@@ -26,7 +26,12 @@
 //! scratch once, runs the blocked kernel, and folds scale + mask into the
 //! epilogue sweep. A fused conv1d + bias + activation
 //! ([`conv1d_fused_into`], with [`conv1d_backward_into`] for training)
-//! rounds out the set.
+//! rounds out the set. Its batched forms run the publish block:
+//! [`conv1d_fused_batched_into`], the TEL gate pair
+//! [`conv1d_gate_batched_into`] and the layer-0 projection bank
+//! [`conv1d_projection_bank_into`] hold each output row in register-sized
+//! column chunks across the whole fold, bit-identical per member to
+//! [`conv1d_fused_into`].
 
 use crate::tensor::PadMode;
 
@@ -959,139 +964,172 @@ pub fn conv1d_fused_into(
     }
 }
 
-/// One member of the batched fused conv, with the whole `[c_out]` output
-/// row held in a stack accumulator across the entire `(dk, ci)` reduction
-/// instead of being loaded/stored once per tap like
-/// [`conv1d_fused_into`]'s axpy walk.
-///
-/// Bit-identity argument: each output element accumulates
-/// `acc += x[src, ci] · w[dk, ci, o]` over the identical increasing
-/// `(dk, ci)` order as the per-node kernel. The per-node kernel's
-/// `x == 0.0` skip is deliberately dropped: folding `±0.0` terms is
-/// exact for finite kernels, and on ~50%-sparse gated inputs the
-/// unpredictable branch costs far more than the skipped FMAs (measured
-/// 2-3x on the layer-0 projection stage).
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-fn conv1d_member_reg<const CO: usize>(
-    xm: &[f32],
-    w: &[f32],
-    bias: Option<&[f32]>,
-    t_len: usize,
-    c_in: usize,
-    kw: usize,
-    left: usize,
-    act: Activation,
-    om: &mut [f32],
-) {
-    for t in 0..t_len {
-        let mut acc = [0.0f32; CO];
-        let dk_lo = left.saturating_sub(t);
-        let dk_hi = kw.min(t_len + left - t);
-        for dk in dk_lo..dk_hi {
-            let src = t + dk - left;
-            let x_row = &xm[src * c_in..(src + 1) * c_in];
-            let w_tap = &w[dk * c_in * CO..(dk + 1) * c_in * CO];
-            for (ci, &xv) in x_row.iter().enumerate() {
-                let w_row = &w_tap[ci * CO..(ci + 1) * CO];
-                for j in 0..CO {
-                    acc[j] += xv * w_row[j];
-                }
-            }
+// Column-chunk widths of the register-accumulator conv kernels. Each
+// output row is folded in chunks of this many columns (the last piece split
+// into power-of-two chunks), so every accumulator is a fixed-size lane
+// array that stays in registers at any `c_out`. A width trades register
+// pressure against independent add chains per input channel (each 4-lane
+// SSE register is one chain with 4 cycles of add latency). Each width was
+// measured at both model shapes, 32 members with T = 24 (serve: C = 8,
+// K = 2; paper: C = 32, K = 4).
+
+/// [`conv1d_fused_batched_into`], one kernel: 32 lanes give 8 chains;
+/// 8-lane chunks leave 2 and were 1.6× slower at `c_out = 32`.
+const SINGLE_CHUNK: usize = 32;
+
+/// [`conv1d_gate_batched_into`], two kernels: 8 lanes each.
+const GATE_CHUNK: usize = 8;
+
+/// [`conv1d_projection_bank_into`]: 16 lanes for each of Q, K and V plus
+/// the two gate scalars, 50 accumulators. At C = 32 the bank took 456 µs
+/// against 470 µs for the five separate convs; 8-lane chunks took 512 µs
+/// (too few chains), and an unchunked walk would hold 96 accumulators, far
+/// past the 16 SSE registers.
+const BANK_CHUNK: usize = 16;
+
+/// Expand `$body` once per column chunk of a `$c_out`-wide output row:
+/// full `$chunk`-lane chunks (a power of two ≤ 32), then the
+/// `c_out % $chunk` tail as power-of-two chunks, widest first. Inside
+/// `$body`, `$w` is the chunk width as a `const` and `$j0` its first
+/// column, so every width folds in fixed-size lane arrays, with neither a
+/// runtime-length accumulator nor a scalar tail loop.
+macro_rules! column_chunks {
+    ($c_out:expr, $chunk:expr, |$j0:ident, $w:ident| $body:block) => {{
+        const CHUNK: usize = $chunk;
+        const _: () = assert!(CHUNK.is_power_of_two() && CHUNK <= 32);
+        let c_out: usize = $c_out;
+        let mut $j0 = 0usize;
+        while $j0 + CHUNK <= c_out {
+            const $w: usize = CHUNK;
+            $body
+            $j0 += CHUNK;
         }
-        let o_row = &mut om[t * CO..(t + 1) * CO];
-        // `+ 0.0` canonicalises a possible `-0.0` accumulator (reachable
-        // only when every folded term was `±0.0`, i.e. an all-zero input
-        // row) to the `+0.0` the zero-skipping per-node kernel produces;
-        // it is the identity on every other value.
-        match bias {
-            Some(b) => {
-                for j in 0..CO {
-                    o_row[j] = act.apply((acc[j] + 0.0) + b[j]);
-                }
+        column_chunks!(@tail c_out, CHUNK, $j0, $w, $body, 16, 8, 4, 2, 1);
+    }};
+    (@tail $c_out:ident, $chunk:ident, $j0:ident, $w:ident, $body:block, $($half:literal),+) => {
+        $(
+            if $half < $chunk && ($c_out - $j0) & $half != 0 {
+                const $w: usize = $half;
+                $body
+                $j0 += $half;
             }
-            None => {
-                for j in 0..CO {
-                    o_row[j] = act.apply(acc[j] + 0.0);
-                }
-            }
-        }
-    }
+        )+
+    };
 }
 
-/// Like [`conv1d_member_reg`] but for arbitrary runtime `c_out`, walked in
-/// 8-wide column chunks so the accumulators still live in registers (a
-/// runtime-length accumulator would fall back to per-tap memory traffic —
-/// the exact cost this kernel exists to remove). Each output element's
-/// fold is unchanged; chunks only partition the independent columns, so
-/// this stays bit-identical to [`conv1d_member_reg`].
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-fn conv1d_member_reg_dyn(
-    xm: &[f32],
-    w: &[f32],
-    bias: Option<&[f32]>,
+/// Time-axis geometry of one conv member: `t_len` steps of `c_in`
+/// channels in, `c_out` channels out, kernel width `kw` with `left`
+/// zero-padding steps before the first input row.
+#[derive(Clone, Copy)]
+struct ConvGeom {
     t_len: usize,
     c_in: usize,
     c_out: usize,
     kw: usize,
     left: usize,
-    act: Activation,
-    om: &mut [f32],
+}
+
+impl ConvGeom {
+    fn new(t_len: usize, c_in: usize, c_out: usize, kw: usize, pad: PadMode) -> Self {
+        Self { t_len, c_in, c_out, kw, left: conv_left_pad(kw, pad) }
+    }
+
+    /// The taps `dk` of output row `t` whose input row lies inside
+    /// `0..t_len`; taps on the zero padding contribute nothing.
+    #[inline(always)]
+    fn taps(&self, t: usize) -> std::ops::Range<usize> {
+        self.left.saturating_sub(t)..self.kw.min(self.t_len + self.left - t)
+    }
+}
+
+/// Fold one input row into `N` banks' `W`-lane accumulators:
+/// `acc[b][l] += x_row[ci] · taps[b][ci·c_out + j0 + l]` for `ci`
+/// ascending, where `taps[b]` is one `[c_in, c_out]` kernel tap of bank
+/// `b`. Each accumulator element sees exactly the adds, in the order, that
+/// [`conv1d_fused_into`]'s axpy walk makes over that tap.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn fold_row<const W: usize, const N: usize>(
+    acc: &mut [[f32; W]; N],
+    x_row: &[f32],
+    taps: [&[f32]; N],
+    c_out: usize,
+    j0: usize,
 ) {
-    const CH: usize = 8;
-    for t in 0..t_len {
-        let dk_lo = left.saturating_sub(t);
-        let dk_hi = kw.min(t_len + left - t);
-        let o_row = &mut om[t * c_out..(t + 1) * c_out];
-        let mut j0 = 0;
-        while j0 < c_out {
-            let jw = CH.min(c_out - j0);
-            let mut acc = [0.0f32; CH];
-            for dk in dk_lo..dk_hi {
-                let src = t + dk - left;
-                let x_row = &xm[src * c_in..(src + 1) * c_in];
-                let w_tap = &w[dk * c_in * c_out..(dk + 1) * c_in * c_out];
-                if jw == CH {
-                    for (ci, &xv) in x_row.iter().enumerate() {
-                        let w_row = &w_tap[ci * c_out + j0..ci * c_out + j0 + CH];
-                        for l in 0..CH {
-                            acc[l] += xv * w_row[l];
-                        }
-                    }
-                } else {
-                    for (ci, &xv) in x_row.iter().enumerate() {
-                        let w_row = &w_tap[ci * c_out + j0..ci * c_out + j0 + jw];
-                        for l in 0..jw {
-                            acc[l] += xv * w_row[l];
-                        }
-                    }
-                }
+    for (ci, &xv) in x_row.iter().enumerate() {
+        let at = ci * c_out + j0;
+        for b in 0..N {
+            let w_row = &taps[b][at..at + W];
+            for l in 0..W {
+                acc[b][l] += xv * w_row[l];
             }
-            // Same `-0.0` canonicalisation as [`conv1d_member_reg`].
-            match bias {
-                Some(b) => {
-                    for l in 0..jw {
-                        o_row[j0 + l] = act.apply((acc[l] + 0.0) + b[j0 + l]);
-                    }
-                }
-                None => {
-                    for l in 0..jw {
-                        o_row[j0 + l] = act.apply(acc[l] + 0.0);
-                    }
-                }
-            }
-            j0 += jw;
         }
+    }
+}
+
+/// Output row `t`'s whole `(dk, ci)` reduction for columns `j0..j0 + W`
+/// of `N` same-geometry kernels `ws[b]: [kw, c_in, c_out]` on one input
+/// walk: taps in increasing `dk`, channels in increasing `ci`.
+#[inline(always)]
+fn fold_chunk<const W: usize, const N: usize>(
+    xm: &[f32],
+    ws: [&[f32]; N],
+    geo: &ConvGeom,
+    t: usize,
+    j0: usize,
+) -> [[f32; W]; N] {
+    let mut acc = [[0.0f32; W]; N];
+    let tap = geo.c_in * geo.c_out;
+    for dk in geo.taps(t) {
+        let src = t + dk - geo.left;
+        let x_row = &xm[src * geo.c_in..(src + 1) * geo.c_in];
+        fold_row(&mut acc, x_row, ws.map(|w| &w[dk * tap..(dk + 1) * tap]), geo.c_out, j0);
+    }
+    acc
+}
+
+/// Store one chunk's pre-activations `(acc + 0.0) + bias`. The `+ 0.0`
+/// turns a `-0.0` accumulator into the `+0.0` that
+/// [`conv1d_fused_into`] produces (it skips zero inputs; these kernels
+/// fold them, which is exact for finite kernels and cheaper than the
+/// unpredictable branch on ~50%-sparse gated inputs); it is the identity on
+/// every other value.
+#[inline(always)]
+fn store_chunk<const W: usize>(dst: &mut [f32], acc: &[f32; W], bias: Option<&[f32]>) {
+    let dst = &mut dst[..W];
+    match bias {
+        Some(b) => {
+            for ((d, &a), &bv) in dst.iter_mut().zip(acc).zip(&b[..W]) {
+                *d = (a + 0.0) + bv;
+            }
+        }
+        None => {
+            for (d, &a) in dst.iter_mut().zip(acc) {
+                *d = a + 0.0;
+            }
+        }
+    }
+}
+
+/// Apply `act` to every element of `xs` as one flat map. The `match` sits
+/// outside the loop, so each arm is a branch-free body that vectorises
+/// (the `simd` build's polynomial `exp`/`tanh` included).
+fn activate_in_place(act: Activation, xs: &mut [f32]) {
+    match act {
+        Activation::Identity => {}
+        Activation::Relu => xs.iter_mut().for_each(|x| *x = Activation::Relu.apply(*x)),
+        Activation::Sigmoid => xs.iter_mut().for_each(|x| *x = Activation::Sigmoid.apply(*x)),
+        Activation::Tanh => xs.iter_mut().for_each(|x| *x = Activation::Tanh.apply(*x)),
     }
 }
 
 /// Batched fused conv1d over `bt` stacked members: `x: [bt, t_len, c_in]`,
 /// shared `w: [kw, c_in, c_out]`, `out: [bt, t_len, c_out]`. Every member's
-/// output is **bit-identical** to [`conv1d_fused_into`] on that member (see
-/// `conv1d_member_reg` for the fold argument); the batched form exists so
-/// the per-tap output-row traffic of the axpy walk collapses into stack
-/// accumulators, which is where the publish path's conv time goes.
+/// output is **bit-identical** to [`conv1d_fused_into`] on that member:
+/// each element folds `x[src, ci] · w[dk, ci, o]` over the same increasing
+/// `(dk, ci)` order, in a register accumulator instead of an output row
+/// loaded and stored once per tap (the per-tap row traffic is where the
+/// per-node kernel's time goes).
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_fused_batched_into(
     x: &[f32],
@@ -1112,129 +1150,36 @@ pub fn conv1d_fused_batched_into(
     if let Some(b) = bias {
         assert_eq!(b.len(), c_out, "conv1d batched: bias length");
     }
-    let left = conv_left_pad(kw, pad);
-    macro_rules! run {
-        ($co:literal) => {
-            for i in 0..bt {
-                conv1d_member_reg::<$co>(
-                    &x[i * t_len * c_in..(i + 1) * t_len * c_in],
-                    w,
-                    bias,
-                    t_len,
-                    c_in,
-                    kw,
-                    left,
-                    act,
-                    &mut out[i * t_len * c_out..(i + 1) * t_len * c_out],
-                );
-            }
-        };
-    }
-    match c_out {
-        1 => run!(1),
-        2 => run!(2),
-        4 => run!(4),
-        8 => run!(8),
-        16 => run!(16),
-        24 => run!(24),
-        32 => run!(32),
-        co if co <= 32 => {
-            for i in 0..bt {
-                conv1d_member_reg_dyn(
-                    &x[i * t_len * c_in..(i + 1) * t_len * c_in],
-                    w,
-                    bias,
-                    t_len,
-                    c_in,
-                    c_out,
-                    kw,
-                    left,
-                    act,
-                    &mut out[i * t_len * c_out..(i + 1) * t_len * c_out],
-                );
-            }
+    let geo = ConvGeom::new(t_len, c_in, c_out, kw, pad);
+    for (xm, om) in x.chunks_exact(t_len * c_in).zip(out.chunks_exact_mut(t_len * c_out)) {
+        for t in 0..t_len {
+            let o_row = &mut om[t * c_out..(t + 1) * c_out];
+            column_chunks!(c_out, SINGLE_CHUNK, |j0, W| {
+                let [acc] = fold_chunk::<W, 1>(xm, [w], &geo, t, j0);
+                store_chunk(&mut o_row[j0..], &acc, bias.map(|b| &b[j0..]));
+            });
         }
-        _ => {
-            for i in 0..bt {
-                conv1d_fused_into(
-                    &x[i * t_len * c_in..(i + 1) * t_len * c_in],
-                    w,
-                    bias,
-                    t_len,
-                    c_in,
-                    c_out,
-                    kw,
-                    pad,
-                    act,
-                    &mut out[i * t_len * c_out..(i + 1) * t_len * c_out],
-                );
-            }
-        }
+        // Pre-activations are stored; the activation runs as one flat map.
+        activate_in_place(act, om);
     }
 }
 
-/// One member of the batched **gated conv pair** (the TEL pattern
-/// `ReLU(capture ⋆ x) ⊙ σ(denoise ⋆ x)`): both convolutions share the
-/// input walk, so each `x` element is loaded once and folded into two
-/// register accumulators, and the gate product is applied in the epilogue
-/// while both rows are still in registers — one pass instead of two convs,
-/// and no materialised pre-gate tensors.
-///
-/// Bit-identity: each accumulator replays [`conv1d_member_reg`]'s exact
-/// `(dk, ci)` fold (same `-0.0` canonicalisation), and the epilogue
-/// computes `act(acc_c + b_c) · σ(acc_d + b_d)` — elementwise identical to
-/// convolving each bank separately and multiplying the results.
-#[inline(always)]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-fn conv1d_member_gate<const CO: usize>(
-    xm: &[f32],
-    w_c: &[f32],
-    b_c: &[f32],
-    w_d: &[f32],
-    b_d: &[f32],
-    t_len: usize,
-    c_in: usize,
-    kw: usize,
-    left: usize,
-    om: &mut [f32],
-) {
-    for t in 0..t_len {
-        let mut acc_c = [0.0f32; CO];
-        let mut acc_d = [0.0f32; CO];
-        let dk_lo = left.saturating_sub(t);
-        let dk_hi = kw.min(t_len + left - t);
-        for dk in dk_lo..dk_hi {
-            let src = t + dk - left;
-            let x_row = &xm[src * c_in..(src + 1) * c_in];
-            let wc_tap = &w_c[dk * c_in * CO..(dk + 1) * c_in * CO];
-            let wd_tap = &w_d[dk * c_in * CO..(dk + 1) * c_in * CO];
-            for (ci, &xv) in x_row.iter().enumerate() {
-                let wc_row = &wc_tap[ci * CO..(ci + 1) * CO];
-                let wd_row = &wd_tap[ci * CO..(ci + 1) * CO];
-                for j in 0..CO {
-                    acc_c[j] += xv * wc_row[j];
-                }
-                for j in 0..CO {
-                    acc_d[j] += xv * wd_row[j];
-                }
-            }
-        }
-        let o_row = &mut om[t * CO..(t + 1) * CO];
-        // Same `-0.0` canonicalisation as [`conv1d_member_reg`].
-        for j in 0..CO {
-            let cap = Activation::Relu.apply((acc_c[j] + 0.0) + b_c[j]);
-            let den = Activation::Sigmoid.apply((acc_d[j] + 0.0) + b_d[j]);
-            o_row[j] = cap * den;
-        }
-    }
-}
-
-/// Batched gated conv pair over `bt` stacked members:
-/// `out[i] = ReLU(x[i] ⋆ w_c + b_c) ⊙ σ(x[i] ⋆ w_d + b_d)` with
+/// Batched **gated conv pair** (the TEL pattern
+/// `ReLU(x ⋆ w_c + b_c) ⊙ σ(x ⋆ w_d + b_d)`) over `bt` stacked members:
 /// `x: [bt, t_len, c_in]`, both kernels `[kw, c_in, c_out]`, biases
-/// `[c_out]`, `out: [bt, t_len, c_out]`. Member `i` is elementwise
-/// bit-identical to two [`conv1d_fused_into`] passes (ReLU / Sigmoid
-/// epilogues) multiplied together — see `conv1d_member_gate`.
+/// `[c_out]`, `out: [bt, t_len, c_out]`.
+///
+/// Both banks fold each input element into their register accumulators on
+/// one walk. The capture pre-activations are stored in `out`, the denoise
+/// ones in `den_scratch` (`t_len · c_out`, reused per member; the tape
+/// hands a pooled buffer). Then `ReLU(c) · σ(d)` runs as one flat,
+/// branch-free map over the member, so the `simd` build's polynomial `exp`
+/// vectorises.
+///
+/// Member `i` is elementwise bit-identical to two [`conv1d_fused_into`]
+/// passes (ReLU / Sigmoid epilogues) multiplied together: each accumulator
+/// replays that kernel's `(dk, ci)` fold, and the epilogue is the same
+/// per-element expression wherever it runs.
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_gate_batched_into(
     x: &[f32],
@@ -1248,6 +1193,7 @@ pub fn conv1d_gate_batched_into(
     c_out: usize,
     kw: usize,
     pad: PadMode,
+    den_scratch: &mut [f32],
     out: &mut [f32],
 ) {
     assert_eq!(x.len(), bt * t_len * c_in, "conv1d gate batched: x buffer");
@@ -1255,70 +1201,155 @@ pub fn conv1d_gate_batched_into(
     assert_eq!(w_d.len(), kw * c_in * c_out, "conv1d gate batched: w_d buffer");
     assert_eq!(b_c.len(), c_out, "conv1d gate batched: b_c length");
     assert_eq!(b_d.len(), c_out, "conv1d gate batched: b_d length");
+    assert_eq!(den_scratch.len(), t_len * c_out, "conv1d gate batched: scratch buffer");
     assert_eq!(out.len(), bt * t_len * c_out, "conv1d gate batched: out buffer");
-    let left = conv_left_pad(kw, pad);
-    macro_rules! run {
-        ($co:literal) => {
-            for i in 0..bt {
-                conv1d_member_gate::<$co>(
-                    &x[i * t_len * c_in..(i + 1) * t_len * c_in],
-                    w_c,
-                    b_c,
-                    w_d,
-                    b_d,
-                    t_len,
-                    c_in,
-                    kw,
-                    left,
-                    &mut out[i * t_len * c_out..(i + 1) * t_len * c_out],
-                );
-            }
-        };
+    let geo = ConvGeom::new(t_len, c_in, c_out, kw, pad);
+    for (xm, om) in x.chunks_exact(t_len * c_in).zip(out.chunks_exact_mut(t_len * c_out)) {
+        for t in 0..t_len {
+            let row = t * c_out;
+            column_chunks!(c_out, GATE_CHUNK, |j0, W| {
+                let [cap, den] = fold_chunk::<W, 2>(xm, [w_c, w_d], &geo, t, j0);
+                store_chunk(&mut om[row + j0..], &cap, Some(&b_c[j0..]));
+                store_chunk(&mut den_scratch[row + j0..], &den, Some(&b_d[j0..]));
+            });
+        }
+        for (o, &d) in om.iter_mut().zip(den_scratch.iter()) {
+            *o = Activation::Relu.apply(*o) * Activation::Sigmoid.apply(d);
+        }
     }
-    match c_out {
-        1 => run!(1),
-        2 => run!(2),
-        4 => run!(4),
-        8 => run!(8),
-        16 => run!(16),
-        32 => run!(32),
-        _ => {
-            // Rare widths (model configs use powers of two ≤ 32): fall back
-            // to the literal two-conv + multiply composition per member,
-            // which is the bit-identity reference by construction.
-            let mut cap = vec![0.0f32; t_len * c_out];
-            let mut den = vec![0.0f32; t_len * c_out];
-            for i in 0..bt {
-                let xm = &x[i * t_len * c_in..(i + 1) * t_len * c_in];
-                conv1d_fused_into(
-                    xm,
-                    w_c,
-                    Some(b_c),
-                    t_len,
-                    c_in,
-                    c_out,
-                    kw,
-                    pad,
-                    Activation::Relu,
-                    &mut cap,
-                );
-                conv1d_fused_into(
-                    xm,
-                    w_d,
-                    Some(b_d),
-                    t_len,
-                    c_in,
-                    c_out,
-                    kw,
-                    pad,
-                    Activation::Sigmoid,
-                    &mut den,
-                );
-                let om = &mut out[i * t_len * c_out..(i + 1) * t_len * c_out];
-                for ((o, &a), &b) in om.iter_mut().zip(&cap).zip(&den) {
-                    *o = a * b;
+}
+
+/// The five layer-0 projection kernels of one ITA layer, read by
+/// [`conv1d_projection_bank_into`]. Each is a `(kernel, bias)` pair of a
+/// causal conv over `c_in` input channels: Q and K are `[kw, c_in, c_out]`,
+/// V is `[1, c_in, c_out]` (biases `[c_out]`), and the two aggregation
+/// gate projections are `[1, c_in, 1]` (biases `[1]`).
+#[derive(Clone, Copy)]
+pub struct ProjectionBank<'a> {
+    /// Width of the Q and K kernels.
+    pub kw: usize,
+    /// Query kernel and bias.
+    pub q: (&'a [f32], &'a [f32]),
+    /// Key kernel and bias.
+    pub k: (&'a [f32], &'a [f32]),
+    /// Value kernel and bias.
+    pub v: (&'a [f32], &'a [f32]),
+    /// Gate source kernel and bias.
+    pub gate_src: (&'a [f32], &'a [f32]),
+    /// Gate destination kernel and bias.
+    pub gate_dst: (&'a [f32], &'a [f32]),
+}
+
+/// Output buffers of [`conv1d_projection_bank_into`]: Q/K/V are
+/// `[bt, t_len, c_out]`, the gate projections `[bt, t_len, 1]`.
+pub struct ProjectionLanes<'a> {
+    /// Query projections.
+    pub q: &'a mut [f32],
+    /// Key projections.
+    pub k: &'a mut [f32],
+    /// Value projections.
+    pub v: &'a mut [f32],
+    /// Gate source projections.
+    pub gate_src: &'a mut [f32],
+    /// Gate destination projections.
+    pub gate_dst: &'a mut [f32],
+}
+
+/// All five layer-0 projections of `bt` stacked members
+/// `x: [bt, t_len, c_in]` in one kernel that walks each member's rows once.
+///
+/// Output row `t` of a causal width-`kw` conv reads input rows
+/// `t - kw + 1 ..= t`, and the width-1 V and gate kernels read row `t`
+/// alone. So for each column chunk the kernel folds the earlier rows into
+/// the Q and K accumulators, then folds row `t` into Q, K and V, and, on
+/// the first chunk, into the two single-column gate accumulators as well.
+/// Chunks are 16 lanes wide (`BANK_CHUNK`), which bounds the live
+/// accumulators at `3 · BANK_CHUNK + 2` whatever `c_out` is.
+///
+/// Every output element folds the same terms in the same increasing
+/// `(dk, ci)` order as its own [`conv1d_fused_into`] call with an
+/// `Identity` epilogue, and stores `(acc + 0.0) + bias`, so each lane is
+/// bit-identical to the five separate convs.
+pub fn conv1d_projection_bank_into(
+    x: &[f32],
+    bank: &ProjectionBank<'_>,
+    bt: usize,
+    t_len: usize,
+    c_in: usize,
+    c_out: usize,
+    out: ProjectionLanes<'_>,
+) {
+    let kw = bank.kw;
+    assert!(kw > 0, "projection bank: kernel width must be positive");
+    assert_eq!(x.len(), bt * t_len * c_in, "projection bank: x buffer");
+    for (name, (w, b), taps, width) in [
+        ("q", bank.q, kw, c_out),
+        ("k", bank.k, kw, c_out),
+        ("v", bank.v, 1, c_out),
+        ("gate_src", bank.gate_src, 1, 1),
+        ("gate_dst", bank.gate_dst, 1, 1),
+    ] {
+        assert_eq!(w.len(), taps * c_in * width, "projection bank: {name} kernel");
+        assert_eq!(b.len(), width, "projection bank: {name} bias");
+    }
+    for (name, len, width) in [
+        ("q", out.q.len(), c_out),
+        ("k", out.k.len(), c_out),
+        ("v", out.v.len(), c_out),
+        ("gate_src", out.gate_src.len(), 1),
+        ("gate_dst", out.gate_dst.len(), 1),
+    ] {
+        assert_eq!(len, bt * t_len * width, "projection bank: {name} out buffer");
+    }
+    let ((wq, bq), (wk, bk), (wv, bv)) = (bank.q, bank.k, bank.v);
+    let ((ws, bs), (wd, bd)) = (bank.gate_src, bank.gate_dst);
+    let left = kw - 1;
+    let tap = c_in * c_out;
+    // The last Q/K tap reads the same input row `t` as V and the gates.
+    let (wq_t, wk_t) = (&wq[left * tap..], &wk[left * tap..]);
+    for i in 0..bt {
+        let xm = &x[i * t_len * c_in..(i + 1) * t_len * c_in];
+        let lanes = i * t_len * c_out..(i + 1) * t_len * c_out;
+        let (q, k, v) = (&mut out.q[lanes.clone()], &mut out.k[lanes.clone()], &mut out.v[lanes]);
+        let gs = &mut out.gate_src[i * t_len..(i + 1) * t_len];
+        let gd = &mut out.gate_dst[i * t_len..(i + 1) * t_len];
+        for t in 0..t_len {
+            let x_t = &xm[t * c_in..(t + 1) * c_in];
+            let row = t * c_out;
+            column_chunks!(c_out, BANK_CHUNK, |j0, W| {
+                let mut qk = [[0.0f32; W]; 2];
+                for dk in left.saturating_sub(t)..left {
+                    let src = t + dk - left;
+                    let taps = [&wq[dk * tap..(dk + 1) * tap], &wk[dk * tap..(dk + 1) * tap]];
+                    fold_row(&mut qk, &xm[src * c_in..(src + 1) * c_in], taps, c_out, j0);
                 }
-            }
+                let mut acc = [qk[0], qk[1], [0.0f32; W]];
+                if j0 == 0 {
+                    // First chunk: the single-column gate accumulators
+                    // ride along on the same walk over row `t`.
+                    let (mut gs_acc, mut gd_acc) = (0.0f32, 0.0f32);
+                    for ((ci, &xv), (&ws_v, &wd_v)) in x_t.iter().enumerate().zip(ws.iter().zip(wd))
+                    {
+                        let at = ci * c_out;
+                        for (a, w_t) in acc.iter_mut().zip([wq_t, wk_t, wv]) {
+                            let w_row = &w_t[at..at + W];
+                            for l in 0..W {
+                                a[l] += xv * w_row[l];
+                            }
+                        }
+                        gs_acc += xv * ws_v;
+                        gd_acc += xv * wd_v;
+                    }
+                    gs[t] = (gs_acc + 0.0) + bs[0];
+                    gd[t] = (gd_acc + 0.0) + bd[0];
+                } else {
+                    fold_row(&mut acc, x_t, [wq_t, wk_t, wv], c_out, j0);
+                }
+                let [aq, ak, av] = &acc;
+                store_chunk(&mut q[row + j0..], aq, Some(&bq[j0..]));
+                store_chunk(&mut k[row + j0..], ak, Some(&bk[j0..]));
+                store_chunk(&mut v[row + j0..], av, Some(&bv[j0..]));
+            });
         }
     }
 }

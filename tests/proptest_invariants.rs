@@ -11,15 +11,40 @@ use gaia_synth::{
     WorldConfig, D_TEMPORAL,
 };
 use gaia_tensor::kernels::{
-    attention_probs_causal_into, attention_scores_into, conv1d_fused_into, matmul_batched_into,
+    attention_probs_causal_into, attention_scores_into, conv1d_fused_batched_into,
+    conv1d_fused_into, conv1d_gate_batched_into, conv1d_projection_bank_into, matmul_batched_into,
     matmul_into, matmul_naive_into, matmul_nt_into, matmul_strided_into, matmul_tn_into,
-    matmul_tri_lower_into, MATMUL_BLOCK,
+    matmul_tri_lower_into, ProjectionBank, ProjectionLanes, MATMUL_BLOCK,
 };
 use gaia_tensor::{conv1d, softmax_in_place, Activation, Graph, PadMode, Tensor};
 use gaia_timeseries::{acf, auto_arima};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Reference for the batched conv kernels: one [`conv1d_fused_into`] call
+/// per member of `x: [bt, t_len, c_in]`.
+#[allow(clippy::too_many_arguments)]
+fn conv_per_member(
+    x: &[f32],
+    w: &[f32],
+    bias: Option<&[f32]>,
+    (bt, t_len, c_in, c_out): (usize, usize, usize, usize),
+    kw: usize,
+    pad: PadMode,
+    act: Activation,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; bt * t_len * c_out];
+    for (xm, om) in x.chunks_exact(t_len * c_in).zip(out.chunks_exact_mut(t_len * c_out)) {
+        conv1d_fused_into(xm, w, bias, t_len, c_in, c_out, kw, pad, act, om);
+    }
+    out
+}
+
+/// The bit patterns of `xs`, so a comparison tells `-0.0` from `+0.0`.
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
 
 /// Apply one scripted world mutation. A `(kind, arg)` pair fully determines
 /// the op, so replaying the same script on two copies of a world leaves
@@ -343,6 +368,89 @@ proptest! {
             );
         }
         prop_assert_eq!(&strided, &looped, "matmul_strided diverged at {}x{}x{}x{}", bt, m, k, n);
+    }
+
+    /// KERNEL PARITY SWEEP — the register-accumulator conv kernels of the
+    /// publish block are **bit-identical** to per-member
+    /// `conv1d_fused_into` calls, compared as bit patterns: the batched
+    /// conv under each activation, with and without bias; the TEL gate
+    /// pair against its `ReLU` and `Sigmoid` convs multiplied; and the
+    /// layer-0 projection bank against its five separate causal convs.
+    /// Shapes include `t_len < kw`, odd widths and widths past one column
+    /// chunk. `zero_rows` blanks input rows (the all-zero rows a gated
+    /// ReLU produces), which the per-member kernel skips and these kernels
+    /// fold in; that is the `-0.0` canonicalisation path.
+    #[test]
+    fn publish_conv_kernels_bit_identical_to_per_member(
+        bt in 1usize..=5,
+        t_len in 1usize..=30,
+        c_in in 1usize..=40,
+        c_out in 1usize..=48,
+        kw in 1usize..=16,
+        causal in 0usize..2,
+        act_pick in 0usize..4,
+        zero_rows in 0u32..u32::MAX,
+        seed in 0u64..1000,
+    ) {
+        let pad = if causal == 1 { PadMode::Causal } else { PadMode::Same };
+        let act =
+            [Activation::Identity, Activation::Relu, Activation::Sigmoid, Activation::Tanh][act_pick];
+        let dims = (bt, t_len, c_in, c_out);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = Tensor::randn(vec![bt, t_len, c_in], 1.0, &mut rng).into_data();
+        for (r, row) in x.chunks_mut(c_in).enumerate() {
+            if (zero_rows >> (r % 32)) & 1 == 1 {
+                row.fill(0.0);
+            }
+        }
+        let mut randn = |shape: Vec<usize>| Tensor::randn(shape, 0.5, &mut rng).into_data();
+
+        let (w, b) = (randn(vec![kw, c_in, c_out]), randn(vec![c_out]));
+        let bias = (seed % 2 == 0).then_some(&b[..]);
+        let mut got = vec![0.0f32; bt * t_len * c_out];
+        conv1d_fused_batched_into(&x, &w, bias, bt, t_len, c_in, c_out, kw, pad, act, &mut got);
+        let want = conv_per_member(&x, &w, bias, dims, kw, pad, act);
+        prop_assert_eq!(bits(&got), bits(&want), "batched conv {:?} {:?}", pad, act);
+
+        let (w_d, b_d) = (randn(vec![kw, c_in, c_out]), randn(vec![c_out]));
+        let mut den = vec![0.0f32; t_len * c_out];
+        conv1d_gate_batched_into(
+            &x, &w, &b, &w_d, &b_d, bt, t_len, c_in, c_out, kw, pad, &mut den, &mut got,
+        );
+        let cap = conv_per_member(&x, &w, Some(&b), dims, kw, pad, Activation::Relu);
+        let gate = conv_per_member(&x, &w_d, Some(&b_d), dims, kw, pad, Activation::Sigmoid);
+        let want: Vec<f32> = cap.iter().zip(&gate).map(|(c, g)| c * g).collect();
+        prop_assert_eq!(bits(&got), bits(&want), "gate kernel {:?}", pad);
+
+        // Q and K take the drawn width; V and both gate projections are
+        // width 1; the gates have one output column.
+        let kernels: Vec<(Vec<f32>, Vec<f32>, usize, usize)> =
+            [(kw, c_out), (kw, c_out), (1, c_out), (1, 1), (1, 1)]
+                .into_iter()
+                .map(|(k, co)| (randn(vec![k, c_in, co]), randn(vec![co]), k, co))
+                .collect();
+        let kernel = |i: usize| (&kernels[i].0[..], &kernels[i].1[..]);
+        let bank = ProjectionBank {
+            kw,
+            q: kernel(0),
+            k: kernel(1),
+            v: kernel(2),
+            gate_src: kernel(3),
+            gate_dst: kernel(4),
+        };
+        let mut lanes: Vec<Vec<f32>> =
+            kernels.iter().map(|kn| vec![f32::NAN; bt * t_len * kn.3]).collect();
+        {
+            let [q, k, v, gate_src, gate_dst] = &mut lanes[..] else { unreachable!() };
+            let out = ProjectionLanes { q, k, v, gate_src, gate_dst };
+            conv1d_projection_bank_into(&x, &bank, bt, t_len, c_in, c_out, out);
+        }
+        for (slot, ((w, b, k, co), got)) in kernels.iter().zip(&lanes).enumerate() {
+            let want = conv_per_member(
+                &x, w, Some(b), (bt, t_len, c_in, *co), *k, PadMode::Causal, Activation::Identity,
+            );
+            prop_assert_eq!(bits(got), bits(&want), "projection bank lane {}", slot);
+        }
     }
 
     /// KERNEL PARITY — the fused causal attention-probability kernel is
@@ -731,9 +839,10 @@ proptest! {
 
     /// PUBLISH PARITY WALL — the batched publish path is a pure
     /// performance rewrite of the per-node reference: for random worlds
-    /// (sized to straddle cache segment boundaries) and random
+    /// (sized to straddle cache segment boundaries), random
     /// block sizes (including the degenerate `B = 1` and sizes that leave
-    /// a ragged tail, `ds.n % B != 0`), the rank-3 block driver must
+    /// a ragged tail, `ds.n % B != 0`) and random model widths (`C` from 4
+    /// to 48, each with a `K` that divides it), the rank-3 block driver must
     /// reproduce every frozen lane — the embedding plus all five layer-0
     /// projections — for every node. Scalar build: bit-exact; SIMD build:
     /// within 1e-4 relative; `embed-f16`: within 5e-3 relative (one
@@ -743,12 +852,21 @@ proptest! {
         world_seed in 0u64..10_000,
         n_shops in 20usize..90,
         block in 1usize..=48,
+        channel_pick in 0usize..6,
+        group_pick in 0usize..8,
     ) {
         let wc = WorldConfig { n_shops, seed: world_seed, ..WorldConfig::tiny() };
         let (_world, ds) = generate_dataset(wc);
         let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
-        cfg.channels = 8;
-        cfg.kernel_groups = 2;
+        // Model widths are drawn after the world, so a pinned seed replays
+        // the same world. `K` divides `C` with a largest TEL kernel
+        // `2^K ≤ T`; odd per-group widths (C = 12, K = 2 → 6) take the
+        // kernels' column-chunk tails.
+        cfg.channels = [4, 8, 12, 16, 32, 48][channel_pick];
+        let groups: Vec<usize> = (1..=cfg.channels)
+            .filter(|&k| cfg.channels.is_multiple_of(k) && (1usize << k) <= ds.t)
+            .collect();
+        cfg.kernel_groups = groups[group_pick % groups.len()];
         cfg.layers = 1;
         cfg.ego = EgoConfig { hops: 1, fanout: 3 };
         // Publish parity is a property of the precompute paths, not of
