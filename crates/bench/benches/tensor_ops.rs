@@ -2,7 +2,8 @@
 //! actually use ([T, C] = [24, 32]), plus the f32 kernel scaling ablation
 //! and the kernel-vs-naive comparisons for the `gaia_tensor::kernels`
 //! layer (blocked matmul, fused conv1d+bias+act, fused attention scores),
-//! and the publish block's conv kernels (`publish_block`).
+//! the publish block's conv kernels (`publish_block`) and the full
+//! publish at 1 and 2 workers (`publish_driver`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaia_tensor::kernels::{
@@ -432,12 +433,37 @@ fn bench_publish_block(c: &mut Criterion) {
     group.finish();
 }
 
+/// The full publish of a 10k-shop world with the serving model
+/// (C = 8, K = 2, one layer, untrained, model seed 7): the same publish at
+/// 1 and 2 workers, so the single-thread figure sits next to the parallel
+/// one.
+fn bench_publish_driver(c: &mut Criterion) {
+    use gaia_synth::{generate_dataset, WorldConfig};
+    let (_world, ds) =
+        generate_dataset(WorldConfig { n_shops: 10_000, seed: 1, ..WorldConfig::default() });
+    let mut cfg = gaia_core::GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
+    cfg.channels = 8;
+    cfg.kernel_groups = 2;
+    cfg.layers = 1;
+    let model = gaia_core::Gaia::new(cfg, 7);
+    let mut group = c.benchmark_group("publish_driver");
+    for workers in [1usize, 2] {
+        group.bench_function(format!("serve_10k/workers_{workers}"), |bench| {
+            bench.iter(|| {
+                model.precompute_embeddings_profiled(&ds, gaia_core::PUBLISH_BLOCK, workers).0
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().warm_up_time(Duration::from_millis(500)).measurement_time(Duration::from_secs(2)).sample_size(10);
     targets = bench_matmul, bench_attention_shapes, bench_conv1d,
         bench_matmul_blocked_vs_naive, bench_conv1d_fused_vs_naive,
         bench_attention_scores_fused_vs_naive, bench_matmul_batched_vs_looped,
-        bench_causal_attention_batched_vs_unfused, bench_simd_vs_scalar, bench_publish_block
+        bench_causal_attention_batched_vs_unfused, bench_simd_vs_scalar, bench_publish_block,
+        bench_publish_driver
 }
 criterion_main!(benches);

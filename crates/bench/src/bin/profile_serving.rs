@@ -1,6 +1,7 @@
 //! Ad-hoc stage profiler for the batched serving path: times ego
 //! extraction, tape reset, batched forward and result extraction
-//! separately so kernel work can be told apart from dispatch overhead.
+//! separately so kernel work can be told apart from dispatch overhead,
+//! then the full publish of a 100k-shop world at 1 and 2 workers.
 //! Not part of any committed benchmark protocol.
 
 use gaia_bench::bench_world;
@@ -105,34 +106,7 @@ fn main() {
         per(t_out)
     );
 
-    // ---- Publish-stage split: where a full batched republish spends its
-    // time (block-tape embeddings vs layer-0 projections vs bulk cache
-    // insert vs the final overlay freeze), against the per-node reference.
-    let s0 = Instant::now();
-    let per_node_cache = model.precompute_embeddings_per_node(&ds).into_shared();
-    let per_node_s = s0.elapsed().as_secs_f64();
-    std::hint::black_box(&per_node_cache);
-    let s1 = Instant::now();
-    let (publish_cache, stages) =
-        model.precompute_embeddings_profiled(&ds, gaia_core::PUBLISH_BLOCK);
-    let batched_s = s1.elapsed().as_secs_f64();
-    let s2 = Instant::now();
-    let publish_cache = publish_cache.into_shared();
-    let freeze_s = s2.elapsed().as_secs_f64();
-    std::hint::black_box(&publish_cache);
-    println!(
-        "publish split (n={}, block={}): per-node={:.1}ms batched={:.1}ms ({:.2}x) \
-         [embed={:.1}ms projections={:.1}ms insert={:.1}ms freeze={:.2}ms]",
-        ds.n,
-        gaia_core::PUBLISH_BLOCK,
-        1e3 * per_node_s,
-        1e3 * batched_s,
-        per_node_s / batched_s,
-        1e3 * stages.embed_seconds,
-        1e3 * stages.projection_seconds,
-        1e3 * stages.insert_seconds,
-        1e3 * freeze_s
-    );
+    publish_cost();
 
     // ---- Kernel microbenches at exact model shapes. ----
     use gaia_tensor::kernels;
@@ -321,4 +295,76 @@ fn main() {
         rows_ns - copy_ns,
         rows2_ns - copy_ns
     );
+}
+
+/// Full publishes of a 100k-shop world (perfbench's `serve-100k` world
+/// and untrained serving model) in 5 alternating pairs of 1 and 2
+/// workers: each row gives wall time, per-worker busy time and claimed
+/// pages, the serial remainder, the summed stage split and the process's
+/// minor page faults; each pair ends with its 2-over-1 speed-up, the
+/// single-thread figure next to the parallel one.
+fn publish_cost() {
+    use gaia_synth::{generate_dataset, WorldConfig};
+    const PAIRS: usize = 5;
+    let (_world, ds) =
+        generate_dataset(WorldConfig { n_shops: 100_000, seed: 1, ..WorldConfig::default() });
+    let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
+    cfg.channels = 8;
+    cfg.kernel_groups = 2;
+    cfg.layers = 1;
+    cfg.ego = EgoConfig { hops: 1, fanout: 4 };
+    let model = gaia_core::Gaia::new(cfg, 7);
+    // Warm-up: the allocator's first touch of a cache's worth of pages.
+    drop(model.precompute_embeddings(&ds));
+    println!(
+        "publish (n={}, block={}), {PAIRS} alternating pairs:",
+        ds.n,
+        gaia_core::PUBLISH_BLOCK
+    );
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        let mut walls = [0.0f64; 2];
+        let order = if pair % 2 == 0 { [1usize, 2] } else { [2, 1] };
+        for workers in order {
+            let faults = minor_faults();
+            let (cache, p) =
+                model.precompute_embeddings_profiled(&ds, gaia_core::PUBLISH_BLOCK, workers);
+            let faults = minor_faults().zip(faults).map(|(after, before)| after - before);
+            drop(cache);
+            walls[workers - 1] = p.wall_seconds;
+            let ms = |v: &[f64]| {
+                v.iter().map(|s| format!("{:.1}", 1e3 * s)).collect::<Vec<_>>().join("/")
+            };
+            println!(
+                "  {workers} worker(s): wall={:.1}ms busy={}ms pages={:?} serial={:.2}ms \
+                 [embed={:.1}ms projections={:.1}ms insert={:.1}ms, summed] minflt={}",
+                1e3 * p.wall_seconds,
+                ms(&p.worker_busy_seconds),
+                p.worker_pages,
+                1e3 * p.serial_seconds,
+                1e3 * p.stages.embed_seconds,
+                1e3 * p.stages.projection_seconds,
+                1e3 * p.stages.insert_seconds,
+                faults.map_or("n/a".to_string(), |f| f.to_string()),
+            );
+        }
+        ratios.push(walls[0] / walls[1]);
+        println!(
+            "  pair {pair}: 1 worker {:.1}ms, 2 workers {:.1}ms, {:.2}x",
+            1e3 * walls[0],
+            1e3 * walls[1],
+            walls[0] / walls[1]
+        );
+    }
+    ratios.sort_by(f64::total_cmp);
+    println!("  median 2-over-1 speed-up: {:.2}x", ratios[PAIRS / 2]);
+}
+
+/// Minor page faults of this process so far (Linux `/proc/self/stat`
+/// field 10), or `None` where that file is unreadable.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name, which may hold spaces.
+    let rest = &stat[stat.rfind(')')? + 2..];
+    rest.split_whitespace().nth(7)?.parse().ok()
 }

@@ -117,7 +117,9 @@ fn slot_span(t: usize, c: usize, slot: ProjSlot) -> (usize, usize, usize) {
 /// at [`slot_span`] offsets behind it), so an epoch either owns a segment's
 /// storage — a single allocation — or shares all of it with the previous
 /// epoch. Presence is tracked per node in the bit masks; absent entries
-/// leave their lanes zeroed.
+/// leave their lanes zeroed. An *unfilled* segment has storage allocated
+/// but empty (`data.len() == 0`, no node present); it exists only while a
+/// full publish fills its table ([`EmbedCache::claim_pages`]).
 #[derive(Clone, Debug)]
 struct Segment {
     data: Vec<CacheElem>,
@@ -126,6 +128,10 @@ struct Segment {
 }
 
 impl Segment {
+    fn unfilled(stride: usize) -> Self {
+        Self { data: Vec::with_capacity(SEGMENT_NODES * stride), embed_mask: 0, proj_masks: [0; 5] }
+    }
+
     fn empty(stride: usize) -> Self {
         Self {
             data: vec![Default::default(); SEGMENT_NODES * stride],
@@ -594,15 +600,7 @@ impl EmbedCache {
     /// local-overlay entries for `nodes` are dropped: the frozen lanes now
     /// hold the truth, and overlay entries shadow frozen ones on read.
     pub fn insert_block(&mut self, nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>) {
-        let b = nodes.len();
-        let tc = t * c;
-        assert!(nodes.windows(2).all(|w| w[0] < w[1]), "insert_block: nodes must be sorted");
-        assert_eq!(vals.embed.len(), b * tc, "insert_block: embed payload size");
-        assert_eq!(vals.q.len(), b * tc, "insert_block: Q payload size");
-        assert_eq!(vals.k.len(), b * tc, "insert_block: K payload size");
-        assert_eq!(vals.v.len(), b * tc, "insert_block: V payload size");
-        assert_eq!(vals.gate_src.len(), b * t, "insert_block: gate-src payload size");
-        assert_eq!(vals.gate_dst.len(), b * t, "insert_block: gate-dst payload size");
+        check_block(nodes, t, c, vals);
         match self.dims {
             Some(dims) => assert_eq!(dims, (t, c), "insert_block: dims mismatch"),
             None => self.dims = Some((t, c)),
@@ -613,70 +611,192 @@ impl EmbedCache {
                 self.proj_local.remove(node);
             }
         }
-        let stride = node_stride(t, c);
         if let Some(&max) = nodes.last() {
             self.grow_to(Self::segment_of(max) + 1);
         }
         let mut i = 0;
-        while i < b {
-            let seg_idx = Self::segment_of(nodes[i]);
-            let arc = self
-                .segment_slot_mut(seg_idx)
-                .get_or_insert_with(|| Arc::new(Segment::empty(stride)));
-            assert_eq!(arc.data.len(), SEGMENT_NODES * stride, "insert_block: stride mismatch");
-            let seg = Arc::make_mut(arc);
-            while i < b && Self::segment_of(nodes[i]) == seg_idx {
-                let off = nodes[i] % SEGMENT_NODES;
-                let block = off * stride;
-                encode_into(&mut seg.data[block..block + tc], &vals.embed[i * tc..(i + 1) * tc]);
-                seg.embed_mask |= 1 << off;
-                for (slot, src) in
-                    [(ProjSlot::Q, vals.q), (ProjSlot::K, vals.k), (ProjSlot::V, vals.v)]
-                {
-                    let (offset, ..) = slot_span(t, c, slot);
-                    let start = block + offset;
-                    encode_into(&mut seg.data[start..start + tc], &src[i * tc..(i + 1) * tc]);
-                    seg.proj_masks[slot as usize] |= 1 << off;
-                }
-                for (slot, src) in
-                    [(ProjSlot::GateSrc, vals.gate_src), (ProjSlot::GateDst, vals.gate_dst)]
-                {
-                    let (offset, ..) = slot_span(t, c, slot);
-                    let start = block + offset;
-                    encode_into(&mut seg.data[start..start + t], &src[i * t..(i + 1) * t]);
-                    seg.proj_masks[slot as usize] |= 1 << off;
-                }
-                i += 1;
-            }
+        while i < nodes.len() {
+            let slot = self.segment_slot_mut(Self::segment_of(nodes[i]));
+            i = write_segment(slot, nodes, i, t, c, vals);
         }
     }
 
-    /// Merge another cache produced over a **disjoint** node range (a
-    /// parallel publish worker's output) into this one by moving its
-    /// segment `Arc`s — no payload copies. Panics if both caches populate
-    /// the same segment: the block drivers chunk worker ranges on
-    /// [`SEGMENT_NODES`] boundaries precisely so this can never happen.
-    pub fn merge_disjoint(&mut self, other: EmbedCache) {
-        match (self.dims, other.dims) {
-            (Some(a), Some(b)) => assert_eq!(a, b, "merge_disjoint: dims mismatch"),
-            (None, Some(b)) => self.dims = Some(b),
-            _ => {}
+    /// Grow this empty cache's table to the `n.div_ceil(SEGMENT_NODES)`
+    /// segments of nodes `0..n`, once, and hand its pages out for a full
+    /// publish in runs of `run_pages` whole pages ([`PageClaims::claim`]).
+    /// Each run is a disjoint `&mut` sub-slice of the one table, so
+    /// workers fill their segments in place and nothing is merged
+    /// afterwards. `dims` are the embedding dims `(T, C)` every block
+    /// inserted through a run must have.
+    ///
+    /// Every segment's storage is allocated here, on the calling thread,
+    /// and left unwritten (unfilled): workers only fill it. So the whole
+    /// table comes from the caller's allocator arena however the claims
+    /// fall, and a republish reuses the storage its predecessors freed,
+    /// instead of each worker's arena growing to the largest share it was
+    /// ever dealt.
+    pub(crate) fn claim_pages(
+        &mut self,
+        n: usize,
+        dims: (usize, usize),
+        run_pages: usize,
+    ) -> PageClaims<'_> {
+        assert!(self.pages.is_empty() && self.local.is_empty(), "claim_pages: cache not empty");
+        assert!(run_pages > 0, "claim_pages: runs must hold a page");
+        self.grow_to(n.div_ceil(SEGMENT_NODES));
+        let stride = node_stride(dims.0, dims.1);
+        for seg in 0..self.segments {
+            *self.segment_slot_mut(seg) = Some(Arc::new(Segment::unfilled(stride)));
         }
-        self.grow_to(other.segments);
-        for seg_idx in 0..other.segments {
-            if let Some(arc) = other.segment(seg_idx) {
-                assert!(
-                    self.segment(seg_idx).is_none(),
-                    "merge_disjoint: segment {seg_idx} populated in both caches"
-                );
-                *self.segment_slot_mut(seg_idx) = Some(Arc::clone(arc));
-            }
+        if n > 0 {
+            self.dims = Some(dims);
         }
-        self.local.extend(other.local);
-        self.proj_local.extend(other.proj_local);
-        self.states.extend(other.states);
-        self.state_proj.extend(other.state_proj);
+        PageClaims {
+            runs: std::sync::Mutex::new(self.pages.chunks_mut(run_pages).enumerate()),
+            run_pages,
+            n,
+            dims,
+        }
     }
+}
+
+/// Nodes one page of the segment table spans: the unit a full publish's
+/// workers claim work in ([`EmbedCache::claim_pages`]).
+pub(crate) const PAGE_NODES: usize = SEGMENT_NODES * PAGE_SEGMENTS;
+
+/// The pages of a fresh full-publish table, handed out in index order to
+/// whichever worker asks next ([`EmbedCache::claim_pages`]).
+pub(crate) struct PageClaims<'a> {
+    runs: std::sync::Mutex<std::iter::Enumerate<std::slice::ChunksMut<'a, Arc<Page>>>>,
+    run_pages: usize,
+    n: usize,
+    dims: (usize, usize),
+}
+
+impl<'a> PageClaims<'a> {
+    /// The next unclaimed run of pages, or `None` once every page is taken.
+    pub(crate) fn claim(&self) -> Option<PageRun<'a>> {
+        let (k, pages) = self.runs.lock().expect("page claim lock poisoned").next()?;
+        let start = k * self.run_pages * PAGE_NODES;
+        let end = (start + pages.len() * PAGE_NODES).min(self.n);
+        Some(PageRun { pages, nodes: start..end, dims: self.dims })
+    }
+}
+
+/// One claimed run of whole pages of a full-publish table: the segments of
+/// nodes [`PageRun::nodes`], writable by its holder alone.
+pub(crate) struct PageRun<'a> {
+    pages: &'a mut [Arc<Page>],
+    nodes: std::ops::Range<usize>,
+    dims: (usize, usize),
+}
+
+impl PageRun<'_> {
+    /// Nodes whose segments this run holds.
+    pub(crate) fn nodes(&self) -> std::ops::Range<usize> {
+        self.nodes.clone()
+    }
+
+    /// Pages in this run.
+    pub(crate) fn pages(&self) -> usize {
+        self.pages.len()
+    }
+}
+
+/// Where a publish block's values land: a cache's copy-on-write table
+/// ([`EmbedCache::insert_block`]) or one claimed run of a full publish's
+/// fresh table.
+pub(crate) trait BlockSink {
+    /// Write block `nodes` (sorted ascending) with dims `(t, c)`.
+    fn insert_block(&mut self, nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>);
+}
+
+impl BlockSink for EmbedCache {
+    fn insert_block(&mut self, nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>) {
+        EmbedCache::insert_block(self, nodes, t, c, vals);
+    }
+}
+
+impl BlockSink for PageRun<'_> {
+    /// Panics unless every node lies in [`PageRun::nodes`] and `(t, c)`
+    /// are the dims the table was claimed with.
+    fn insert_block(&mut self, nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>) {
+        check_block(nodes, t, c, vals);
+        assert_eq!((t, c), self.dims, "PageRun::insert_block: dims mismatch");
+        if let (Some(&lo), Some(&hi)) = (nodes.first(), nodes.last()) {
+            assert!(
+                self.nodes.contains(&lo) && self.nodes.contains(&hi),
+                "PageRun::insert_block: nodes {lo}..={hi} outside the run's {:?}",
+                self.nodes
+            );
+        }
+        let mut i = 0;
+        while i < nodes.len() {
+            let seg = EmbedCache::segment_of(nodes[i] - self.nodes.start);
+            let page = Arc::get_mut(&mut self.pages[seg / PAGE_SEGMENTS])
+                .expect("a claimed page is never shared");
+            i = write_segment(&mut page[seg % PAGE_SEGMENTS], nodes, i, t, c, vals);
+        }
+    }
+}
+
+/// Validate a publish block's ordering and payload sizes.
+fn check_block(nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>) {
+    let b = nodes.len();
+    let tc = t * c;
+    assert!(nodes.windows(2).all(|w| w[0] < w[1]), "insert_block: nodes must be sorted");
+    assert_eq!(vals.embed.len(), b * tc, "insert_block: embed payload size");
+    assert_eq!(vals.q.len(), b * tc, "insert_block: Q payload size");
+    assert_eq!(vals.k.len(), b * tc, "insert_block: K payload size");
+    assert_eq!(vals.v.len(), b * tc, "insert_block: V payload size");
+    assert_eq!(vals.gate_src.len(), b * t, "insert_block: gate-src payload size");
+    assert_eq!(vals.gate_dst.len(), b * t, "insert_block: gate-dst payload size");
+}
+
+/// Write the block members `nodes[i..]` that share `nodes[i]`'s segment
+/// into that segment's `slot` and return the index of the first member
+/// past it. A member's six lanes sit at [`slot_span`] offsets behind its
+/// embedding. An empty slot gets a new segment; an unfilled segment is
+/// zero-filled on its first write, by the worker that writes it; a
+/// segment still shared with another epoch is cloned (copy-on-write).
+/// The members are then written in place.
+fn write_segment(
+    slot: &mut Option<Arc<Segment>>,
+    nodes: &[usize],
+    i: usize,
+    t: usize,
+    c: usize,
+    vals: &BlockValues<'_>,
+) -> usize {
+    let seg_idx = EmbedCache::segment_of(nodes[i]);
+    let end = i + nodes[i..].partition_point(|&v| EmbedCache::segment_of(v) == seg_idx);
+    let tc = t * c;
+    let stride = node_stride(t, c);
+    let len = SEGMENT_NODES * stride;
+    let arc = slot.get_or_insert_with(|| Arc::new(Segment::unfilled(stride)));
+    assert!(arc.data.is_empty() || arc.data.len() == len, "insert_block: stride mismatch");
+    let seg = Arc::make_mut(arc);
+    if seg.data.is_empty() {
+        seg.data.resize(len, Default::default());
+    }
+    for m in i..end {
+        let off = nodes[m] % SEGMENT_NODES;
+        let block = off * stride;
+        encode_into(&mut seg.data[block..block + tc], &vals.embed[m * tc..(m + 1) * tc]);
+        seg.embed_mask |= 1 << off;
+        for (lane, src) in [(ProjSlot::Q, vals.q), (ProjSlot::K, vals.k), (ProjSlot::V, vals.v)] {
+            let start = block + slot_span(t, c, lane).0;
+            encode_into(&mut seg.data[start..start + tc], &src[m * tc..(m + 1) * tc]);
+            seg.proj_masks[lane as usize] |= 1 << off;
+        }
+        for (lane, src) in [(ProjSlot::GateSrc, vals.gate_src), (ProjSlot::GateDst, vals.gate_dst)]
+        {
+            let start = block + slot_span(t, c, lane).0;
+            encode_into(&mut seg.data[start..start + t], &src[m * t..(m + 1) * t]);
+            seg.proj_masks[lane as usize] |= 1 << off;
+        }
+    }
+    end
 }
 
 /// Encode an f32 tensor payload into a frozen block span.
@@ -1104,30 +1224,59 @@ mod tests {
         assert_eq!(c.proj_vec(3, ProjSlot::Q), Some(vec![4.0, 2.0]));
     }
 
+    /// Claimed page runs tile the table in order, each a whole number of
+    /// pages, and blocks written through them land in the one table in
+    /// place: no second cache, nothing to merge.
     #[test]
-    fn merge_disjoint_moves_worker_segments() {
-        let mut left = EmbedCache::new();
-        insert_probe_block(&mut left, &(0..SEGMENT_NODES).collect::<Vec<_>>());
-        let mut right = EmbedCache::new();
-        insert_probe_block(&mut right, &(SEGMENT_NODES..SEGMENT_NODES + 10).collect::<Vec<_>>());
-        let right_addr = right.segment_addr(1).unwrap();
-        let left_addr = left.segment_addr(0).unwrap();
-        left.merge_disjoint(right);
-        // Segments moved, not copied.
-        assert_eq!(left.segment_addr(0), Some(left_addr));
-        assert_eq!(left.segment_addr(1), Some(right_addr));
-        assert_eq!(left.len(), SEGMENT_NODES + 10);
-        assert_eq!(left.embed_vec(SEGMENT_NODES + 9), Some(vec![(SEGMENT_NODES + 9) as f32, 1.0]));
+    fn claimed_page_runs_tile_the_table_and_fill_it_in_place() {
+        let n = 3 * super::PAGE_NODES + 5;
+        let mut cache = EmbedCache::new();
+        let claims = cache.claim_pages(n, (1, 2), 2);
+        let mut next = 0;
+        while let Some(mut run) = claims.claim() {
+            let nodes = run.nodes();
+            assert_eq!(nodes.start, next, "runs must tile 0..n in order");
+            assert!(run.pages() <= 2);
+            assert!(nodes.end == n || nodes.len() == run.pages() * super::PAGE_NODES);
+            let members: Vec<usize> = nodes.clone().collect();
+            let (embed, q, k, v, gs, gd) = block_payload(&members);
+            let vals = super::BlockValues {
+                embed: &embed,
+                q: &q,
+                k: &k,
+                v: &v,
+                gate_src: &gs,
+                gate_dst: &gd,
+            };
+            super::BlockSink::insert_block(&mut run, &members, 1, 2, &vals);
+            next = nodes.end;
+        }
+        assert_eq!(next, n);
+        assert_eq!(cache.segment_count(), n.div_ceil(SEGMENT_NODES));
+        assert_eq!(cache.len(), n);
+        let mut reference = EmbedCache::new();
+        insert_probe_block(&mut reference, &(0..n).collect::<Vec<_>>());
+        for v in 0..n {
+            assert_eq!(cache.embed_vec(v), reference.embed_vec(v), "embed {v}");
+            assert_eq!(
+                cache.proj_vec(v, ProjSlot::GateDst),
+                reference.proj_vec(v, ProjSlot::GateDst)
+            );
+        }
     }
 
+    /// A worker can only write the segments of the pages it claimed.
     #[test]
-    #[should_panic(expected = "merge_disjoint")]
-    fn merge_disjoint_rejects_overlapping_segments() {
-        let mut left = EmbedCache::new();
-        insert_probe_block(&mut left, &[0, 1]);
-        let mut right = EmbedCache::new();
-        insert_probe_block(&mut right, &[5]);
-        left.merge_disjoint(right);
+    #[should_panic(expected = "outside the run")]
+    fn page_run_rejects_a_block_outside_its_pages() {
+        let mut cache = EmbedCache::new();
+        let claims = cache.claim_pages(2 * super::PAGE_NODES, (1, 2), 1);
+        let mut first = claims.claim().unwrap();
+        let nodes = [super::PAGE_NODES];
+        let (embed, q, k, v, gs, gd) = block_payload(&nodes);
+        let vals =
+            super::BlockValues { embed: &embed, q: &q, k: &k, v: &v, gate_src: &gs, gate_dst: &gd };
+        super::BlockSink::insert_block(&mut first, &nodes, 1, 2, &vals);
     }
 
     #[test]

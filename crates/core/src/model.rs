@@ -1,7 +1,7 @@
 //! The full Gaia model (Fig. 2): FFL → TEL → stacked ITA-GCN → prediction
 //! head with residual connection (Eq. 9).
 
-use crate::api::{inputs, EmbedCache, GraphForecaster};
+use crate::api::{inputs, BlockSink, EmbedCache, GraphForecaster, PageClaims};
 use crate::config::GaiaConfig;
 use crate::ffl::FeatureFusionLayer;
 use crate::ita::{AttentionDetail, ItaGcnLayer};
@@ -76,33 +76,25 @@ impl PredictionHead {
 /// choice.
 pub const PUBLISH_BLOCK: usize = 32;
 
+/// Pages of the segment table a full-publish worker claims at a time
+/// (see [`Gaia::precompute_embeddings_batched`]): one page, 64 nodes, two
+/// default blocks. Small claims keep the workers' finish times within one
+/// page of each other on small worlds too; the claim itself is one
+/// uncontended lock per page.
+const CLAIM_PAGES: usize = 1;
+
 /// Worker threads for a full publish over `n` nodes: the available
-/// parallelism, capped so every worker owns at least one whole cache
-/// segment (workers write disjoint segments — see
-/// [`Gaia::precompute_embeddings_batched`]). On a 2-vCPU host a world of
-/// more than one segment gets 2 workers.
+/// parallelism, capped by the number of segment-table pages, since a
+/// worker claims whole pages (see [`Gaia::precompute_embeddings_batched`]).
+/// On a 2-vCPU host a world of more than one page (64 nodes) gets 2
+/// workers. Production publishes always use this count; only measurement
+/// code ([`Gaia::precompute_embeddings_profiled`]) picks its own.
 fn publish_workers(n: usize) -> usize {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    cores.min(n.div_ceil(crate::api::SEGMENT_NODES)).max(1)
+    cores.min(n.div_ceil(crate::api::PAGE_NODES)).max(1)
 }
 
-/// Deterministic node-range chunking for the parallel publish: `workers`
-/// contiguous ranges, each a whole number of [`crate::api::SEGMENT_NODES`]
-/// segments (the last takes the remainder), so no two ranges share a cache
-/// segment. Chunk boundaries depend only on `(n, workers)`, and per-node
-/// results are pure, so any worker count yields the same cache.
-fn publish_chunks(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let seg = crate::api::SEGMENT_NODES;
-    let segments = n.div_ceil(seg);
-    let per_worker = segments.div_ceil(workers);
-    (0..workers)
-        .map(|w| (w * per_worker * seg).min(n)..((w + 1) * per_worker * seg).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// Wall-clock breakdown of one profiled publish
-/// ([`Gaia::precompute_embeddings_profiled`]), in seconds.
+/// Wall-clock split of a publish's blocks by stage, in seconds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PublishStageProfile {
     /// Stacked FFL → TEL forward (input gather included).
@@ -111,6 +103,30 @@ pub struct PublishStageProfile {
     pub projection_seconds: f64,
     /// Reading the tape values + encoding into frozen segment storage.
     pub insert_seconds: f64,
+}
+
+impl PublishStageProfile {
+    fn add(&mut self, other: &Self) {
+        self.embed_seconds += other.embed_seconds;
+        self.projection_seconds += other.projection_seconds;
+        self.insert_seconds += other.insert_seconds;
+    }
+}
+
+/// One profiled full publish ([`Gaia::precompute_embeddings_profiled`]).
+#[derive(Clone, Debug, Default)]
+pub struct PublishProfile {
+    /// Stage split summed over every worker's blocks (CPU seconds).
+    pub stages: PublishStageProfile,
+    /// Each worker's busy seconds, from its start to its last claim.
+    pub worker_busy_seconds: Vec<f64>,
+    /// Segment-table pages each worker claimed.
+    pub worker_pages: Vec<usize>,
+    /// Wall seconds of the whole publish, table growth, storage
+    /// allocation and thread spawn/join included.
+    pub wall_seconds: f64,
+    /// Serial remainder: wall time minus the slowest worker's busy time.
+    pub serial_seconds: f64,
 }
 
 /// The Gaia model. Holds its own [`ParamStore`]; the forward pass is built
@@ -360,77 +376,98 @@ impl Gaia {
     /// pass per block through the batched kernels (stacked conv banks, one
     /// stacked GEMM per dense projection), then bulk-inserting the block's
     /// embeddings + layer-0 projections straight into the frozen segment
-    /// storage ([`EmbedCache::insert_block`]).
+    /// storage.
+    ///
+    /// Parallel by work claiming on one table: the caller grows the
+    /// cache's segment table for all of `0..n` once, allocating every
+    /// segment's storage (`EmbedCache::claim_pages`), and
+    /// `publish_workers` scoped worker threads each claim the next
+    /// unclaimed page (64 nodes) until none is left, computing its blocks
+    /// on a private tape and writing their segments straight into that
+    /// page. A worker the host slows simply claims fewer pages, so the
+    /// workers finish together; no private cache is built and nothing is
+    /// merged. Blocks never straddle a page, so with the default block of
+    /// 32 each block fills four whole segments. The calling thread runs
+    /// no blocks, whatever the worker count: a tape it ran would stay in
+    /// its allocator arena, which the caller's other work (training, in
+    /// the monthly cycle) shares, and hold peak memory up.
     ///
     /// Determinism contract: every cache entry is a pure function of
     /// `(ds row, parameters)` computed by kernels that are bit-identical
     /// per member to the per-node path, so the result is independent of
-    /// block size, chunking, and worker count — [`Gaia::precompute_embeddings_per_node`]
-    /// followed by a freeze yields the same cache (bit-exact on the scalar
-    /// build; the simd/embed-f16 tolerance tiers are measured against it).
-    ///
-    /// Parallel: with more than one available core, worker threads take
-    /// disjoint node ranges chunked on [`crate::api::SEGMENT_NODES`]
-    /// boundaries — each worker owns whole cache segments, so the merge is
-    /// a move of disjoint `Arc`s ([`EmbedCache::merge_disjoint`]) and no
-    /// two workers ever write one segment. With one core, or a world of
-    /// one segment, it runs the sequential block loop on the calling
-    /// thread.
+    /// block size, worker count and claim order —
+    /// [`Gaia::precompute_embeddings_per_node`] followed by a freeze
+    /// yields the same cache (bit-exact on the scalar build; the
+    /// simd/embed-f16 tolerance tiers are measured against it).
     pub fn precompute_embeddings_batched(
         &self,
         ds: &gaia_synth::Dataset,
         block: usize,
     ) -> EmbedCache {
         assert!(block > 0, "precompute_embeddings_batched: block size must be positive");
-        let ranges = publish_chunks(ds.n, publish_workers(ds.n));
-        if ranges.len() <= 1 {
-            let mut cache = EmbedCache::new();
-            self.precompute_range(ds, 0..ds.n, block, &mut cache, None);
-            return cache;
-        }
-        let parts: Vec<EmbedCache> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|range| {
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        let mut cache = EmbedCache::new();
-                        self.precompute_range(ds, range, block, &mut cache, None);
-                        cache
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("publish worker panicked")).collect()
-        });
-        let mut parts = parts.into_iter();
-        let mut cache = parts.next().expect("at least one publish chunk");
-        for part in parts {
-            cache.merge_disjoint(part);
-        }
-        cache
+        self.precompute_claimed(ds, block, publish_workers(ds.n), false).0
     }
 
-    /// Sequential block loop over one node range on one reused tape, the
-    /// one loop every full publish runs. With `profile`, each block's
-    /// stage times are added to it.
-    fn precompute_range(
+    /// The full publish behind [`Gaia::precompute_embeddings_batched`]
+    /// and [`Gaia::precompute_embeddings_profiled`], with an explicit
+    /// worker count. With `profile`, each block's stage times are recorded
+    /// too.
+    fn precompute_claimed(
         &self,
         ds: &gaia_synth::Dataset,
-        range: std::ops::Range<usize>,
         block: usize,
-        cache: &mut EmbedCache,
-        mut profile: Option<&mut PublishStageProfile>,
-    ) {
+        workers: usize,
+        profile: bool,
+    ) -> (EmbedCache, PublishProfile) {
+        let start = std::time::Instant::now();
+        let mut cache = EmbedCache::new();
+        let claims = cache.claim_pages(ds.n, (self.cfg.t, self.cfg.channels), CLAIM_PAGES);
+        let work = || self.publish_worker(ds, block, &claims, profile);
+        let reports: Vec<(f64, usize, PublishStageProfile)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles.into_iter().map(|h| h.join().expect("publish worker panicked")).collect()
+        });
+        let mut out =
+            PublishProfile { wall_seconds: start.elapsed().as_secs_f64(), ..Default::default() };
+        for (busy, pages, stages) in reports {
+            out.worker_busy_seconds.push(busy);
+            out.worker_pages.push(pages);
+            out.stages.add(&stages);
+        }
+        let slowest = out.worker_busy_seconds.iter().copied().fold(0.0, f64::max);
+        out.serial_seconds = out.wall_seconds - slowest;
+        (cache, out)
+    }
+
+    /// One full-publish worker: claim page runs until none is left and
+    /// fill each run's blocks on one reused tape. Returns the worker's
+    /// busy seconds, the pages it claimed and (with `profile`) its
+    /// blocks' stage split.
+    fn publish_worker(
+        &self,
+        ds: &gaia_synth::Dataset,
+        block: usize,
+        claims: &PageClaims<'_>,
+        profile: bool,
+    ) -> (f64, usize, PublishStageProfile) {
+        let start = std::time::Instant::now();
         let mut g = Graph::for_inference();
         let mut nodes: Vec<usize> = Vec::with_capacity(block);
-        let mut lo = range.start;
-        while lo < range.end {
-            let hi = (lo + block).min(range.end);
-            nodes.clear();
-            nodes.extend(lo..hi);
-            self.precompute_block(&mut g, ds, &nodes, cache, profile.as_deref_mut());
-            lo = hi;
+        let mut stages = PublishStageProfile::default();
+        let mut pages = 0;
+        while let Some(mut run) = claims.claim() {
+            pages += run.pages();
+            let range = run.nodes();
+            let mut lo = range.start;
+            while lo < range.end {
+                let hi = (lo + block).min(range.end);
+                nodes.clear();
+                nodes.extend(lo..hi);
+                self.precompute_block(&mut g, ds, &nodes, &mut run, profile.then_some(&mut stages));
+                lo = hi;
+            }
         }
+        (start.elapsed().as_secs_f64(), pages, stages)
     }
 
     /// One publish block: reset the tape, run the stacked FFL → TEL
@@ -445,7 +482,7 @@ impl Gaia {
         g: &mut Graph,
         ds: &gaia_synth::Dataset,
         nodes: &[usize],
-        cache: &mut EmbedCache,
+        sink: &mut impl BlockSink,
         mut profile: Option<&mut PublishStageProfile>,
     ) {
         g.reset();
@@ -484,7 +521,7 @@ impl Gaia {
             gate_src: gate_src.data(),
             gate_dst: gate_dst.data(),
         };
-        cache.insert_block(nodes, t, c, &vals);
+        sink.insert_block(nodes, t, c, &vals);
         for buf in [q, k, v, gate_src, gate_dst] {
             g.recycle_scratch(buf);
         }
@@ -493,20 +530,21 @@ impl Gaia {
         }
     }
 
-    /// Sequential profiled publish: the block loop of
-    /// [`Gaia::precompute_embeddings_batched`] on one thread, also
-    /// returning the per-stage wall-clock breakdown — the
-    /// `profile_serving` bench bin's publish section.
+    /// Profiled full publish: the claiming loop of
+    /// [`Gaia::precompute_embeddings_batched`] with an explicit worker
+    /// count, also returning the per-stage split, each worker's busy time
+    /// and claimed pages, and the serial remainder — the
+    /// `profile_serving` bench bin's publish rows. Measurement code only:
+    /// production publishes use `publish_workers`.
     pub fn precompute_embeddings_profiled(
         &self,
         ds: &gaia_synth::Dataset,
         block: usize,
-    ) -> (EmbedCache, PublishStageProfile) {
+        workers: usize,
+    ) -> (EmbedCache, PublishProfile) {
         assert!(block > 0, "precompute_embeddings_profiled: block size must be positive");
-        let mut cache = EmbedCache::new();
-        let mut profile = PublishStageProfile::default();
-        self.precompute_range(ds, 0..ds.n, block, &mut cache, Some(&mut profile));
-        (cache, profile)
+        assert!(workers > 0, "precompute_embeddings_profiled: need a worker");
+        self.precompute_claimed(ds, block, workers, true)
     }
 
     /// Incremental counterpart of [`Gaia::precompute_embeddings`]: start
@@ -713,50 +751,37 @@ mod tests {
         }
     }
 
-    /// Worker chunking invariants plus end-to-end determinism: chunk
-    /// ranges tile `0..n` disjointly on segment boundaries, and running
-    /// the chunks separately then merging yields bit-identically the
-    /// sequential driver's cache (so the parallel publish is correct for
-    /// ANY worker count, provable even on a 1-core container).
+    /// The claiming publish fills the same cache for any worker count:
+    /// every lane equals the 1-worker cache bit for bit, across world
+    /// sizes that end mid-segment, on a segment, on a page and past a few
+    /// pages, with more workers than pages too.
     #[test]
-    fn chunked_publish_merges_to_the_sequential_cache() {
-        let seg = crate::api::SEGMENT_NODES;
-        for (n, workers) in [(seg * 3 + 17, 3), (seg * 2, 5), (10, 4), (seg, 1)] {
-            let chunks = publish_chunks(n, workers);
-            let mut expect_start = 0;
-            for r in &chunks {
-                assert_eq!(r.start, expect_start, "chunks must tile contiguously");
-                assert!(r.start % seg == 0, "chunk start off a segment boundary");
-                assert!(r.end == n || r.end % seg == 0, "interior chunk end off a boundary");
-                expect_start = r.end;
-            }
-            assert_eq!(expect_start, n, "chunks must cover 0..n");
-        }
-        let wc = WorldConfig { n_shops: seg * 2 + 9, ..WorldConfig::tiny() };
-        let (_world, ds) = generate_dataset(wc);
-        let model = Gaia::new(small_cfg(&ds), 7);
-        let sequential = model.precompute_embeddings_batched(&ds, 12);
-        let mut merged: Option<EmbedCache> = None;
-        for range in publish_chunks(ds.n, 3) {
-            let mut part = EmbedCache::new();
-            model.precompute_range(&ds, range, 12, &mut part, None);
-            match merged.as_mut() {
-                Some(m) => m.merge_disjoint(part),
-                None => merged = Some(part),
-            }
-        }
-        let merged = merged.unwrap();
-        assert_eq!(merged.len(), sequential.len());
-        for node in 0..ds.n {
-            assert_eq!(
-                merged.embed_vec(node),
-                sequential.embed_vec(node),
-                "node {node} differs between chunked and sequential publish"
-            );
-            for slot in
-                [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst]
-            {
-                assert_eq!(merged.proj_vec(node, slot), sequential.proj_vec(node, slot));
+    fn publish_is_invariant_to_worker_count() {
+        let page = crate::api::PAGE_NODES;
+        let wc = WorldConfig { n_shops: 5 * page + 3, ..WorldConfig::tiny() };
+        let (_world, full) = generate_dataset(wc);
+        let model = Gaia::new(small_cfg(&full), 7);
+        for n in [0, 5, 8, page, page + 1, 3 * page + 17, 5 * page + 3] {
+            // The first `n` shops: a publish reads no row at or past `ds.n`.
+            let mut ds = full.clone();
+            ds.n = n;
+            let (one, _) = model.precompute_claimed(&ds, 12, 1, false);
+            for workers in 1..=4 {
+                let (cache, _) = model.precompute_claimed(&ds, 12, workers, false);
+                assert_eq!(cache.segment_count(), n.div_ceil(crate::api::SEGMENT_NODES));
+                assert_eq!(cache.len(), n, "n {n}, {workers} workers");
+                for node in 0..n {
+                    assert_eq!(cache.embed_vec(node), one.embed_vec(node), "n {n} node {node}");
+                    for slot in [
+                        ProjSlot::Q,
+                        ProjSlot::K,
+                        ProjSlot::V,
+                        ProjSlot::GateSrc,
+                        ProjSlot::GateDst,
+                    ] {
+                        assert_eq!(cache.proj_vec(node, slot), one.proj_vec(node, slot));
+                    }
+                }
             }
         }
     }
