@@ -23,7 +23,7 @@ fn main() {
     let (artifact, ds, _) = pipeline.execute_month(&world);
     let mut model = gaia_core::Gaia::new(artifact.config.clone(), 0);
     model.restore(&artifact.checkpoint).expect("restore");
-    let cache = model.precompute_embeddings(&ds).into_shared();
+    let cache = model.precompute_embeddings(&ds);
     let mut scratch = InferenceScratch::new();
     scratch.install_embed_cache(cache);
 
@@ -68,7 +68,7 @@ fn main() {
     let ego_cfg = model.ego_config();
     let mut ego_slots: Vec<EgoScratch> = (0..batch.len()).map(|_| EgoScratch::new()).collect();
     let mut tape = gaia_tensor::Graph::for_inference();
-    let mut cache2 = model.precompute_embeddings(&ds).into_shared();
+    let mut cache2 = model.precompute_embeddings(&ds);
 
     let (mut t_ego, mut t_fwd, mut t_out) = (0.0f64, 0.0f64, 0.0f64);
     for _ in 0..reps {

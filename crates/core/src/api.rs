@@ -9,7 +9,7 @@ use gaia_tensor::{Graph, Tensor, VarId};
 use std::sync::Arc;
 
 /// Slots of the per-node **layer-0 projection cache** (see
-/// [`EmbedCache::proj_constant`]): the CAU's Q/K/V conv projections and the
+/// [`EmbedCache::proj_vec`]): the CAU's Q/K/V conv projections and the
 /// ITA aggregation gate's source/destination projections, all evaluated on
 /// the node's embedding `E_v`. Like `E_v` itself, these depend only on the
 /// node's features and the parameters — never on the ego subgraph — so the
@@ -29,12 +29,17 @@ pub enum ProjSlot {
     GateDst,
 }
 
-/// One node's cached projections, filled lazily per slot.
+/// One memoised state's projections, filled lazily per slot.
 type ProjEntry = [Option<Tensor>; 5];
 
-/// All projection slots, indexable by `ProjSlot as usize`.
-const PROJ_SLOTS: [ProjSlot; 5] =
-    [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
+/// One layer of the [`EmbedCache`] memo, keyed by node.
+#[derive(Clone, Debug, Default)]
+struct LayerMemo {
+    /// The node's state at this layer.
+    states: std::collections::HashMap<usize, Tensor>,
+    /// Projections of that state by this layer's convs.
+    proj: std::collections::HashMap<usize, ProjEntry>,
+}
 
 /// Nodes per copy-on-write cache segment (see [`EmbedCache`]): contiguous
 /// node-id ranges `[k·8, (k+1)·8)` share one `Arc`'d chunk, so an
@@ -44,7 +49,7 @@ const PROJ_SLOTS: [ProjSlot; 5] =
 /// whose recomputed nodes scatter over the id space, copies a few MB per
 /// publish instead of the ~20 MB 64-node segments cost.
 pub const SEGMENT_NODES: usize = 8;
-// Segment presence masks are one `u64` bit per node.
+// The segment presence mask is one `u64` bit per node.
 const _: () = assert!(SEGMENT_NODES <= 64);
 
 /// Segments per page of the segment table (see [`EmbedCache`]). The table
@@ -116,28 +121,20 @@ fn slot_span(t: usize, c: usize, slot: ProjSlot) -> (usize, usize, usize) {
 /// fixed per-node strides (node `off`'s embed at `off·stride`, projections
 /// at [`slot_span`] offsets behind it), so an epoch either owns a segment's
 /// storage — a single allocation — or shares all of it with the previous
-/// epoch. Presence is tracked per node in the bit masks; absent entries
-/// leave their lanes zeroed. An *unfilled* segment has storage allocated
-/// but empty (`data.len() == 0`, no node present); it exists only while a
-/// full publish fills its table ([`EmbedCache::claim_pages`]).
+/// epoch. A node is only ever written whole, all six lanes at once, so one
+/// presence bit per node covers them; absent nodes leave their lanes
+/// zeroed. An *unfilled* segment has storage allocated but empty
+/// (`data.len() == 0`, no node present); it exists only while a full
+/// publish fills its table ([`EmbedCache::claim_pages`]).
 #[derive(Clone, Debug)]
 struct Segment {
     data: Vec<CacheElem>,
-    embed_mask: u64,
-    proj_masks: [u64; 5],
+    mask: u64,
 }
 
 impl Segment {
     fn unfilled(stride: usize) -> Self {
-        Self { data: Vec::with_capacity(SEGMENT_NODES * stride), embed_mask: 0, proj_masks: [0; 5] }
-    }
-
-    fn empty(stride: usize) -> Self {
-        Self {
-            data: vec![Default::default(); SEGMENT_NODES * stride],
-            embed_mask: 0,
-            proj_masks: [0; 5],
-        }
+        Self { data: Vec::with_capacity(SEGMENT_NODES * stride), mask: 0 }
     }
 }
 
@@ -161,49 +158,48 @@ pub struct BlockValues<'a> {
     pub gate_dst: &'a [f32],
 }
 
-/// Cache of per-node embedding *values* for inference-only forward passes.
+/// Cache of per-node values for inference-only forward passes, in two
+/// stores with one job each.
 ///
-/// A node's embedding (FFL → TEL output, `E_v: [T, C]`) depends only on the
-/// node's features and the model parameters — not on the ego subgraph it
-/// appears in — so serving workers can reuse it across requests.
+/// * The **frozen tier** holds each published node's layer-0 values: its
+///   embedding `E_v` (FFL → TEL output, `[T, C]`) and the five
+///   [`ProjSlot`] projections of it. They depend only on the node's
+///   features and the model parameters, never on an ego subgraph, so a
+///   publish computes them once ([`EmbedCache::insert_block`]) into
+///   copy-on-write segments. Cloning a published cache bumps one `Arc`
+///   per page, so handing it to every serving worker is cheap. This is
+///   the only tier the `embed-f16` element type applies to.
+/// * The **memo** holds f32 values a forward pass computed, keyed
+///   `(layer, node)`: at layer 0 the embeddings and projections a cache
+///   without a publish computed for itself, deeper the hidden states
+///   `H^l` (`1 ≤ l < L`) of nodes whose state is centre-independent, plus
+///   their projections by layer `l`'s convs. It is never frozen.
 ///
-/// Two layers: an optional **shared** base (an `Arc`'d map produced by
-/// [`EmbedCache::into_shared`], typically a snapshot's publish-time
-/// precompute) and a **local** overlay for entries inserted by this holder.
-/// Cloning a shared cache is an `Arc` bump, not a deep copy of the tensors,
-/// so handing one to every serving worker is cheap.
-///
-/// The overlay also holds the **layer-state memo**: hidden states `H^l`
-/// (`1 ≤ l < L`) of nodes whose state is centre-independent, plus their
-/// projections by layer `l`'s convs. Those are functions of the
-/// **graph** as well, so the cache is only sound while the model
-/// parameters, the dataset and the graph all stay fixed; owners (e.g. a
-/// serving inference context) must call [`EmbedCache::clear`] or install a
-/// fresh cache when any of them changes, such as on a snapshot swap.
+/// A layer-0 lookup reads the frozen tier first, then the memo, so a
+/// serving context with a published cache installed never probes the
+/// memo at layer 0. Memoised layer states are functions of the **graph**
+/// as well, so the cache is only sound while the model parameters, the
+/// dataset and the graph all stay fixed; owners (e.g. a serving inference
+/// context) must call [`EmbedCache::clear`] or install a fresh cache when
+/// any of them changes, such as on a snapshot swap.
 #[derive(Clone, Debug, Default)]
 pub struct EmbedCache {
-    /// Shared base, segmented: segment `k` covers nodes
+    /// Frozen tier, segmented: segment `k` covers nodes
     /// `[k·SEGMENT_NODES, (k+1)·SEGMENT_NODES)` and sits in slot
     /// `k % PAGE_SEGMENTS` of page `k / PAGE_SEGMENTS`. Cloning is one
-    /// `Arc` bump per page; [`EmbedCache::into_shared`] and
-    /// [`EmbedCache::insert_block`] rebuild only the segments (and pages)
-    /// they write, leaving every clean segment's `Arc` (and thus its heap
-    /// storage) shared with the previous epoch.
+    /// `Arc` bump per page; [`EmbedCache::insert_block`] rebuilds only the
+    /// segments (and pages) it writes, leaving every clean segment's `Arc`
+    /// (and thus its heap storage) shared with the previous epoch.
     pages: Vec<Arc<Page>>,
     /// Number of segment slots: the highest frozen node's segment plus one.
     segments: usize,
-    /// Embedding dims `(T, C)` of the frozen blocks, inferred from the
-    /// overlay tensors on the first freeze. Every cached tensor agrees on
-    /// them (one model, one dataset — see [`EmbedCache::clear`]).
+    /// Embedding dims `(T, C)` of the frozen blocks, set by the first block
+    /// written. Every cached tensor agrees on them (one model, one dataset
+    /// — see [`EmbedCache::clear`]).
     dims: Option<(usize, usize)>,
-    local: std::collections::HashMap<usize, Tensor>,
-    proj_local: std::collections::HashMap<usize, ProjEntry>,
-    /// Layer-state memo: `H^l` of a centre-independent node, keyed
-    /// `(l, node)` with `l ≥ 1`. Always f32 and never frozen.
-    states: std::collections::HashMap<(usize, usize), Tensor>,
-    /// Projections of memoised states by layer `l`'s convs, keyed like
-    /// `states` (layer 0's live in `proj_local` and the frozen lanes).
-    state_proj: std::collections::HashMap<(usize, usize), ProjEntry>,
+    /// The memo, indexed by layer: `E_v` at layer 0, `H^l` of a
+    /// centre-independent node deeper, each with its projections.
+    memo: Vec<LayerMemo>,
 }
 
 impl EmbedCache {
@@ -217,19 +213,19 @@ impl EmbedCache {
         node / SEGMENT_NODES
     }
 
-    /// Number of shared segment slots (the highest frozen node's segment
-    /// plus one; local-only entries don't count until frozen).
+    /// Number of frozen segment slots (the highest frozen node's segment
+    /// plus one; memoised nodes don't count).
     pub fn segment_count(&self) -> usize {
         self.segments
     }
 
-    /// Shared segment `seg`, if populated.
+    /// Frozen segment `seg`, if populated.
     #[inline]
     fn segment(&self, seg: usize) -> Option<&Arc<Segment>> {
         self.pages.get(seg / PAGE_SEGMENTS)?[seg % PAGE_SEGMENTS].as_ref()
     }
 
-    /// Every populated shared segment, in index order.
+    /// Every populated frozen segment, in index order.
     fn frozen_segments(&self) -> impl Iterator<Item = &Arc<Segment>> {
         self.pages.iter().flat_map(|page| page.iter().flatten())
     }
@@ -249,7 +245,7 @@ impl EmbedCache {
         &mut Arc::make_mut(&mut self.pages[seg / PAGE_SEGMENTS])[seg % PAGE_SEGMENTS]
     }
 
-    /// Stable address of shared segment `seg`'s storage, if populated.
+    /// Stable address of frozen segment `seg`'s storage, if populated.
     /// Two epochs returning the same address for a segment **share** that
     /// segment's heap allocation — the observable the zero-alloc
     /// copy-on-write tests pin.
@@ -257,102 +253,94 @@ impl EmbedCache {
         self.segment(seg).map(|arc| Arc::as_ptr(arc) as usize)
     }
 
-    /// Flat element span of `node`'s frozen embedding, if present.
-    fn shared_embed_span(&self, node: usize) -> Option<&[CacheElem]> {
-        let (t, c) = self.dims?;
-        let seg = self.segment(Self::segment_of(node))?;
-        let off = node % SEGMENT_NODES;
-        if seg.embed_mask >> off & 1 == 0 {
-            return None;
-        }
-        let stride = node_stride(t, c);
-        Some(&seg.data[off * stride..off * stride + t * c])
-    }
-
-    /// Flat element span of `node`'s frozen projection `slot` plus its
-    /// `[rows, cols]` shape, if present.
-    fn shared_proj_span(
+    /// Flat element span of `node`'s frozen layer-`layer` value — its
+    /// projection `slot`, or its embedding for `None` — plus its
+    /// `[rows, cols]` shape, if present. The frozen tier holds layer 0
+    /// only.
+    #[inline]
+    fn frozen_span(
         &self,
+        layer: usize,
         node: usize,
-        slot: ProjSlot,
+        slot: Option<ProjSlot>,
     ) -> Option<(&[CacheElem], usize, usize)> {
+        if layer != 0 {
+            return None;
+        }
         let (t, c) = self.dims?;
         let seg = self.segment(Self::segment_of(node))?;
         let off = node % SEGMENT_NODES;
-        if seg.proj_masks[slot as usize] >> off & 1 == 0 {
+        if seg.mask >> off & 1 == 0 {
             return None;
         }
-        let (offset, rows, cols) = slot_span(t, c, slot);
+        let (offset, rows, cols) = slot.map_or((0, t, c), |slot| slot_span(t, c, slot));
         let start = off * node_stride(t, c) + offset;
         Some((&seg.data[start..start + rows * cols], rows, cols))
     }
 
-    /// True when `node`'s embedding is cached (shared or local).
-    pub fn has_embed(&self, node: usize) -> bool {
-        self.local.contains_key(&node) || self.shared_embed_span(node).is_some()
-    }
-
-    /// True when projection `slot` of `node` is cached (shared or local).
-    pub fn has_proj(&self, node: usize, slot: ProjSlot) -> bool {
-        self.proj_local.get(&node).is_some_and(|e| e[slot as usize].is_some())
-            || self.shared_proj_span(node, slot).is_some()
-    }
-
-    /// Enter `node`'s cached embedding on the tape as a pooled `[T, C]`
-    /// constant, if present: a plain pooled copy for a local-overlay hit, a
-    /// dequantising fill straight from the frozen block for a shared hit —
-    /// either way no staging allocation, so the serving steady state stays
-    /// zero-alloc.
-    pub fn embed_constant(&self, g: &mut Graph, node: usize) -> Option<VarId> {
-        if let Some(tensor) = self.local.get(&node) {
-            return Some(g.constant_from(tensor));
+    /// `node`'s memoised layer-`layer` value: its projection `slot`, or its
+    /// state for `None`.
+    fn memo_value(&self, layer: usize, node: usize, slot: Option<ProjSlot>) -> Option<&Tensor> {
+        let memo = self.memo.get(layer)?;
+        match slot {
+            None => memo.states.get(&node),
+            Some(slot) => memo.proj.get(&node)?[slot as usize].as_ref(),
         }
-        let (t, c) = self.dims?;
-        let span = self.shared_embed_span(node)?;
-        Some(constant_from_span(g, span, t, c))
     }
 
-    /// Enter `node`'s cached layer-0 projection `slot` on the tape as a
-    /// pooled constant, if present. Local overlay first, then the shared
-    /// base — per slot, so a partially filled local entry still falls
-    /// through to frozen slots.
-    pub fn proj_constant(&self, g: &mut Graph, node: usize, slot: ProjSlot) -> Option<VarId> {
-        if let Some(t) = self.proj_local.get(&node).and_then(|e| e[slot as usize].as_ref()) {
-            return Some(g.constant_from(t));
+    /// Enter `node`'s cached layer-`layer` value (projection `slot`, or the
+    /// state for `None`) on the tape as a pooled constant, if present: a
+    /// dequantising fill straight from the frozen block, else a pooled copy
+    /// of the memo entry — either way no staging allocation, so the
+    /// serving steady state stays zero-alloc.
+    fn value_constant(
+        &self,
+        g: &mut Graph,
+        layer: usize,
+        node: usize,
+        slot: Option<ProjSlot>,
+    ) -> Option<VarId> {
+        if let Some((span, rows, cols)) = self.frozen_span(layer, node, slot) {
+            return Some(constant_from_span(g, span, rows, cols));
         }
-        let (span, rows, cols) = self.shared_proj_span(node, slot)?;
-        Some(constant_from_span(g, span, rows, cols))
+        self.memo_value(layer, node, slot).map(|t| g.constant_from(t))
     }
 
-    /// Owned f32 copy of `node`'s cached embedding (decoded from the
-    /// frozen block when shared) — the test/debug read path.
+    /// Owned f32 copy of `node`'s cached layer-0 value (projection `slot`,
+    /// or the embedding for `None`), decoded from the frozen block when
+    /// frozen.
+    fn value_vec(&self, node: usize, slot: Option<ProjSlot>) -> Option<Vec<f32>> {
+        if let Some((span, ..)) = self.frozen_span(0, node, slot) {
+            return Some(span.iter().map(|&q| decode_elem(q)).collect());
+        }
+        self.memo_value(0, node, slot).map(|t| t.data().to_vec())
+    }
+
+    /// Owned f32 copy of `node`'s cached embedding — the test/debug read
+    /// path.
     pub fn embed_vec(&self, node: usize) -> Option<Vec<f32>> {
-        if let Some(tensor) = self.local.get(&node) {
-            return Some(tensor.data().to_vec());
-        }
-        Some(self.shared_embed_span(node)?.iter().map(|&q| decode_elem(q)).collect())
+        self.value_vec(node, None)
     }
 
-    /// Owned f32 copy of `node`'s cached projection `slot`, if present.
+    /// Owned f32 copy of `node`'s cached layer-0 projection `slot`, if
+    /// present.
     pub fn proj_vec(&self, node: usize, slot: ProjSlot) -> Option<Vec<f32>> {
-        if let Some(t) = self.proj_local.get(&node).and_then(|e| e[slot as usize].as_ref()) {
-            return Some(t.data().to_vec());
-        }
-        Some(self.shared_proj_span(node, slot)?.0.iter().map(|&q| decode_elem(q)).collect())
+        self.value_vec(node, Some(slot))
     }
 
-    /// Store `node`'s embedding value (goes to the local overlay).
-    pub fn insert(&mut self, node: usize, value: Tensor) {
-        self.local.insert(node, value);
+    /// Nodes present in the frozen tier.
+    fn frozen_len(&self) -> usize {
+        self.frozen_segments().map(|seg| seg.mask.count_ones() as usize).sum()
     }
 
-    /// Number of cached nodes (shared and local combined).
+    /// How many of `nodes` (layer-0 memo keys) the frozen tier lacks.
+    fn unfrozen<'a>(&self, nodes: impl Iterator<Item = &'a usize>) -> usize {
+        nodes.filter(|&&v| self.frozen_span(0, v, None).is_none()).count()
+    }
+
+    /// Number of nodes with a cached embedding (frozen or memoised).
     pub fn len(&self) -> usize {
-        let shared_len: usize =
-            self.frozen_segments().map(|seg| seg.embed_mask.count_ones() as usize).sum();
-        let overlay_only =
-            self.local.keys().filter(|&&k| self.shared_embed_span(k).is_none()).count();
-        shared_len + overlay_only
+        self.frozen_len() + self.memo.first().map_or(0, |m| self.unfrozen(m.states.keys()))
     }
 
     /// True when nothing is cached.
@@ -360,78 +348,67 @@ impl EmbedCache {
         self.len() == 0
     }
 
-    /// Drop every cached embedding, projection and memoised layer state,
-    /// shared and local (required after a parameter, dataset or graph
-    /// change). Also forgets the frozen dims: the next freeze re-infers
-    /// them, so a model with a different channel width can reuse the cache
+    /// Drop every cached value, frozen and memoised (required after a
+    /// parameter, dataset or graph change). Also forgets the frozen dims,
+    /// so a model with a different channel width can reuse the cache
     /// object.
     pub fn clear(&mut self) {
         self.pages.clear();
         self.segments = 0;
         self.dims = None;
-        self.local.clear();
-        self.proj_local.clear();
-        self.states.clear();
-        self.state_proj.clear();
+        self.memo.clear();
     }
 
-    /// Store layer-0 projection `slot` of `node` (local overlay). The
-    /// value must be bit-identical to evaluating the projection on the
-    /// node's cached embedding — callers insert exactly what the tape
-    /// computed, so cache hits can never change a prediction.
-    pub fn insert_proj(&mut self, node: usize, slot: ProjSlot, value: Tensor) {
-        self.proj_local.entry(node).or_default()[slot as usize] = Some(value);
-    }
-
-    /// Number of nodes with at least one cached projection slot.
+    /// Number of nodes with at least one cached layer-0 projection.
     pub fn cached_projections(&self) -> usize {
-        let shared_len: usize = self
-            .frozen_segments()
-            .map(|seg| seg.proj_masks.iter().fold(0u64, |acc, &m| acc | m).count_ones() as usize)
-            .sum();
-        let overlay_only = self
-            .proj_local
-            .keys()
-            .filter(|&&k| !PROJ_SLOTS.iter().any(|&s| self.shared_proj_span(k, s).is_some()))
-            .count();
-        shared_len + overlay_only
+        self.frozen_len() + self.memo.first().map_or(0, |m| self.unfrozen(m.proj.keys()))
     }
 
-    /// Enter the memoised layer-`layer` state `H^layer` of `node` on the
-    /// tape as a pooled constant, if present. Only states the request path
-    /// proved centre-independent are ever memoised: the node's whole
-    /// neighbour list was in its ego and every neighbour's input state was
-    /// itself centre-independent, so the entry is the same op sequence on
-    /// the same inputs — the same bits — whichever request computed it.
+    /// Enter `node`'s cached layer-`layer` state `H^layer` on the tape as a
+    /// pooled constant, if present — at layer 0 its embedding `E_v`.
+    /// Deeper, only states the request path proved centre-independent are
+    /// ever memoised: the node's whole neighbour list was in its ego and
+    /// every neighbour's input state was itself centre-independent, so the
+    /// entry is the same op sequence on the same inputs — the same bits —
+    /// whichever request computed it.
     pub(crate) fn layer_state_constant(
         &self,
         g: &mut Graph,
         layer: usize,
         node: usize,
     ) -> Option<VarId> {
-        self.states.get(&(layer, node)).map(|t| g.constant_from(t))
+        self.value_constant(g, layer, node, None)
     }
 
-    /// Memoise `H^layer` of `node` (`layer ≥ 1`; layer 0 is the embedding).
+    /// Memoise `H^layer` of `node` (`E_v` at layer 0).
     pub(crate) fn insert_layer_state(&mut self, layer: usize, node: usize, value: Tensor) {
-        debug_assert!(layer >= 1, "layer 0 states are the embeddings");
-        self.states.insert((layer, node), value);
+        self.layer_memo_mut(layer).states.insert(node, value);
     }
 
-    /// Number of memoised `(layer, node)` hidden states.
+    /// Layer `layer` of the memo, grown to it if need be.
+    fn layer_memo_mut(&mut self, layer: usize) -> &mut LayerMemo {
+        if self.memo.len() <= layer {
+            self.memo.resize_with(layer + 1, Default::default);
+        }
+        &mut self.memo[layer]
+    }
+
+    /// Number of memoised `(layer, node)` hidden states at layers `≥ 1`.
     pub fn cached_layer_states(&self) -> usize {
-        self.states.len()
+        self.memo.iter().skip(1).map(|m| m.states.len()).sum()
     }
 
-    /// `(layer, node)` keys of the memoised hidden states, in no order.
+    /// `(layer, node)` keys of every memo entry, states and projections,
+    /// in no order.
     #[cfg(test)]
-    pub(crate) fn layer_state_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.states.keys().copied()
+    pub(crate) fn memo_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.memo.iter().enumerate().flat_map(|(layer, m)| {
+            m.states.keys().chain(m.proj.keys()).map(move |&node| (layer, node))
+        })
     }
 
-    /// [`EmbedCache::proj_constant`] for the projection of `node`'s
-    /// layer-`layer` state: layer 0 reads the embedding projections, deeper
-    /// layers the memo.
+    /// [`EmbedCache::layer_state_constant`] for the projection `slot` of
+    /// `node`'s layer-`layer` state.
     pub(crate) fn proj_constant_at(
         &self,
         g: &mut Graph,
@@ -439,15 +416,13 @@ impl EmbedCache {
         node: usize,
         slot: ProjSlot,
     ) -> Option<VarId> {
-        if layer == 0 {
-            return self.proj_constant(g, node, slot);
-        }
-        let t = self.state_proj.get(&(layer, node))?[slot as usize].as_ref()?;
-        Some(g.constant_from(t))
+        self.value_constant(g, layer, node, Some(slot))
     }
 
-    /// [`EmbedCache::insert_proj`] for the projection of `node`'s
-    /// layer-`layer` state (the memo for `layer ≥ 1`).
+    /// Memoise projection `slot` of `node`'s layer-`layer` state. The value
+    /// must be bit-identical to evaluating the projection on the cached
+    /// state — callers insert exactly what the tape computed, so cache hits
+    /// can never change a prediction.
     pub(crate) fn insert_proj_at(
         &mut self,
         layer: usize,
@@ -455,11 +430,7 @@ impl EmbedCache {
         slot: ProjSlot,
         value: Tensor,
     ) {
-        if layer == 0 {
-            self.insert_proj(node, slot, value);
-        } else {
-            self.state_proj.entry((layer, node)).or_default()[slot as usize] = Some(value);
-        }
+        self.layer_memo_mut(layer).proj.entry(node).or_default()[slot as usize] = Some(value);
     }
 
     /// Approximate resident heap bytes of the cache: every heap block's
@@ -480,136 +451,52 @@ impl EmbedCache {
             bytes += OVH; // the Arc allocation (header + inline Segment)
             bytes += seg.data.capacity() * std::mem::size_of::<CacheElem>() + OVH;
         }
-        for t in self.local.values().chain(self.states.values()) {
-            bytes += tensor_bytes(t) + 3 * OVH;
-        }
-        for entry in self.proj_local.values().chain(self.state_proj.values()) {
-            bytes += entry.iter().flatten().map(tensor_bytes).sum::<usize>() + 3 * OVH;
+        for memo in &self.memo {
+            for t in memo.states.values() {
+                bytes += tensor_bytes(t) + 3 * OVH;
+            }
+            for entry in memo.proj.values() {
+                bytes += entry.iter().flatten().map(tensor_bytes).sum::<usize>() + 3 * OVH;
+            }
         }
         bytes
     }
 
-    /// Embedding dims `(T, C)` implied by the overlay tensors: embeddings
-    /// and Q/K/V projections are `[T, C]`. Gate-only overlays cannot pin
-    /// `C`, but every producer inserts the embedding first.
-    fn infer_dims(&self) -> Option<(usize, usize)> {
-        if self.dims.is_some() {
-            return self.dims;
-        }
-        self.local
-            .values()
-            .chain(self.proj_local.values().flat_map(|e| e[..3].iter().flatten()))
-            .next()
-            .map(|t| (t.shape()[0], t.shape()[1]))
-    }
-
-    /// Freeze this cache into its cheaply cloneable shared form with
-    /// **copy-on-write** segment granularity: only segments the local
-    /// overlay touched are rebuilt (shared block cloned, overlay entries
-    /// encoded in at their fixed strides, new `Arc`); every untouched
-    /// segment keeps the *same* `Arc` as the base it was cloned from, so an
-    /// incremental republish shares clean chunks with the previous epoch
-    /// instead of re-allocating O(world).
+    /// The cheaply cloneable shared form of this cache, which is the cache
+    /// itself: every publish writes the frozen tier directly, and that tier
+    /// is already copy-on-write and shared by `Arc`, so there is nothing to
+    /// freeze. Kept for callers that mark the hand-over of a published
+    /// cache.
     ///
-    /// Projection overlays merge **per slot**: a local `Some` overwrites
-    /// its lane and sets its presence bit, a local `None` leaves the shared
-    /// lane intact — the same fallthrough [`EmbedCache::proj_constant`]
-    /// applies before freezing, so freezing never changes what a lookup
-    /// observes.
-    ///
-    /// Memoised layer states are never frozen (they would be f16-encoded
-    /// on that tier, and they depend on the graph a publish does not see):
-    /// only publish caches are frozen, and those hold none.
-    pub fn into_shared(mut self) -> Self {
+    /// Memoised values are never frozen (the frozen tier may be binary16,
+    /// and layer states depend on the graph a publish does not see): only
+    /// publish caches are shared, and those hold none — checked in debug
+    /// builds.
+    pub fn into_shared(self) -> Self {
         debug_assert!(
-            self.states.is_empty() && self.state_proj.is_empty(),
-            "EmbedCache::into_shared: memoised layer states must not be frozen"
+            self.memo.iter().all(|m| m.states.is_empty() && m.proj.is_empty()),
+            "EmbedCache::into_shared: memoised values must not be frozen"
         );
-        let mut touched: Vec<usize> = self
-            .local
-            .keys()
-            .chain(self.proj_local.keys())
-            .map(|&node| Self::segment_of(node))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        if touched.is_empty() {
-            return self;
-        }
-        let (t, c) = self
-            .infer_dims()
-            .expect("EmbedCache::into_shared: no [T, C] overlay tensor to infer dims from");
-        self.dims = Some((t, c));
-        let stride = node_stride(t, c);
-        if let Some(&max_seg) = touched.last() {
-            self.grow_to(max_seg + 1);
-        }
-        for seg_idx in touched {
-            let mut seg = match self.segment(seg_idx) {
-                Some(arc) => (**arc).clone(),
-                None => Segment::empty(stride),
-            };
-            assert_eq!(seg.data.len(), SEGMENT_NODES * stride, "frozen segment stride mismatch");
-            let base = seg_idx * SEGMENT_NODES;
-            for off in 0..SEGMENT_NODES {
-                let block = off * stride;
-                if let Some(val) = self.local.remove(&(base + off)) {
-                    assert_eq!(val.shape(), &[t, c], "cached embedding shape");
-                    encode_into(&mut seg.data[block..block + t * c], val.data());
-                    seg.embed_mask |= 1 << off;
-                }
-                if let Some(entry) = self.proj_local.remove(&(base + off)) {
-                    for (slot_i, val) in entry.into_iter().enumerate() {
-                        if let Some(val) = val {
-                            let (offset, rows, cols) = slot_span(t, c, PROJ_SLOTS[slot_i]);
-                            assert_eq!(val.shape(), &[rows, cols], "cached projection shape");
-                            let start = block + offset;
-                            encode_into(&mut seg.data[start..start + rows * cols], val.data());
-                            seg.proj_masks[slot_i] |= 1 << off;
-                        }
-                    }
-                }
-            }
-            *self.segment_slot_mut(seg_idx) = Some(Arc::new(seg));
-        }
-        debug_assert!(self.local.is_empty() && self.proj_local.is_empty());
-        Self {
-            pages: self.pages,
-            segments: self.segments,
-            dims: self.dims,
-            local: Default::default(),
-            proj_local: Default::default(),
-            states: Default::default(),
-            state_proj: Default::default(),
-        }
+        self
     }
 
     /// Bulk-insert a publish **block**: the stacked embeddings and all five
     /// layer-0 projection lanes of `nodes` land directly in the frozen
     /// segment storage in one pass — one segment lookup per touched
-    /// segment and one copy-on-write clone at most, instead of `6·N`
-    /// overlay-map inserts plus a freeze. `nodes` must be sorted ascending
-    /// (the block drivers produce sorted node ranges / recompute lists), so
-    /// segment grouping is a linear scan.
+    /// segment and one copy-on-write clone at most. `nodes` must be sorted
+    /// ascending (the block drivers produce sorted node ranges / recompute
+    /// lists), so segment grouping is a linear scan.
     ///
-    /// Copy-on-write contract matches [`EmbedCache::into_shared`]: a
-    /// segment still shared with a previous epoch is cloned before the
-    /// first write (the old epoch's readers never observe the new values),
-    /// while a segment this cache already owns is written in place — so a
-    /// multi-block publish touches each segment's storage once. Any stale
-    /// local-overlay entries for `nodes` are dropped: the frozen lanes now
-    /// hold the truth, and overlay entries shadow frozen ones on read.
+    /// Copy-on-write: a segment still shared with a previous epoch is
+    /// cloned before the first write (the old epoch's readers never observe
+    /// the new values), while a segment this cache already owns is written
+    /// in place — so a multi-block publish touches each segment's storage
+    /// once.
     pub fn insert_block(&mut self, nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>) {
         check_block(nodes, t, c, vals);
         match self.dims {
             Some(dims) => assert_eq!(dims, (t, c), "insert_block: dims mismatch"),
             None => self.dims = Some((t, c)),
-        }
-        if !self.local.is_empty() || !self.proj_local.is_empty() {
-            for node in nodes {
-                self.local.remove(node);
-                self.proj_local.remove(node);
-            }
         }
         if let Some(&max) = nodes.last() {
             self.grow_to(Self::segment_of(max) + 1);
@@ -641,7 +528,7 @@ impl EmbedCache {
         dims: (usize, usize),
         run_pages: usize,
     ) -> PageClaims<'_> {
-        assert!(self.pages.is_empty() && self.local.is_empty(), "claim_pages: cache not empty");
+        assert!(self.pages.is_empty() && self.memo.is_empty(), "claim_pages: cache not empty");
         assert!(run_pages > 0, "claim_pages: runs must hold a page");
         self.grow_to(n.div_ceil(SEGMENT_NODES));
         let stride = node_stride(dims.0, dims.1);
@@ -783,18 +670,16 @@ fn write_segment(
         let off = nodes[m] % SEGMENT_NODES;
         let block = off * stride;
         encode_into(&mut seg.data[block..block + tc], &vals.embed[m * tc..(m + 1) * tc]);
-        seg.embed_mask |= 1 << off;
         for (lane, src) in [(ProjSlot::Q, vals.q), (ProjSlot::K, vals.k), (ProjSlot::V, vals.v)] {
             let start = block + slot_span(t, c, lane).0;
             encode_into(&mut seg.data[start..start + tc], &src[m * tc..(m + 1) * tc]);
-            seg.proj_masks[lane as usize] |= 1 << off;
         }
         for (lane, src) in [(ProjSlot::GateSrc, vals.gate_src), (ProjSlot::GateDst, vals.gate_dst)]
         {
             let start = block + slot_span(t, c, lane).0;
             encode_into(&mut seg.data[start..start + t], &src[m * t..(m + 1) * t]);
-            seg.proj_masks[lane as usize] |= 1 << off;
         }
+        seg.mask |= 1 << off;
     }
     end
 }
@@ -976,120 +861,6 @@ mod tests {
         Tensor::from_vec(vec![1, 2], vec![node as f32, 1.0])
     }
 
-    fn gate_probe(node: usize) -> Tensor {
-        Tensor::from_vec(vec![1, 1], vec![node as f32])
-    }
-
-    /// Shared cache over `n` nodes with embeddings and two projection slots.
-    fn frozen(n: usize) -> EmbedCache {
-        let mut c = EmbedCache::new();
-        for v in 0..n {
-            c.insert(v, probe(v));
-            c.insert_proj(v, ProjSlot::Q, probe(v));
-            c.insert_proj(v, ProjSlot::GateSrc, gate_probe(v + 1));
-        }
-        c.into_shared()
-    }
-
-    fn embed_of(c: &EmbedCache, node: usize) -> Option<Vec<f32>> {
-        c.embed_vec(node)
-    }
-
-    #[test]
-    fn segmented_cache_lookup_across_boundaries() {
-        let n = SEGMENT_NODES * 2 + 5;
-        let c = frozen(n);
-        assert_eq!(c.len(), n);
-        assert_eq!(c.cached_projections(), n);
-        assert_eq!(c.segment_count(), 3);
-        for v in [0, SEGMENT_NODES - 1, SEGMENT_NODES, n - 1] {
-            assert_eq!(embed_of(&c, v).as_deref(), Some(probe(v).data()), "embed {v}");
-            assert_eq!(c.proj_vec(v, ProjSlot::Q).as_deref(), Some(probe(v).data()), "proj {v}");
-            assert_eq!(
-                c.proj_vec(v, ProjSlot::GateSrc).as_deref(),
-                Some(gate_probe(v + 1).data()),
-                "gate {v}"
-            );
-            assert_eq!(c.proj_vec(v, ProjSlot::K), None);
-            assert!(c.has_embed(v) && c.has_proj(v, ProjSlot::Q));
-            assert!(!c.has_proj(v, ProjSlot::V));
-        }
-        assert_eq!(embed_of(&c, n), None);
-        assert_eq!(embed_of(&c, SEGMENT_NODES * 40), None);
-        assert!(!c.has_embed(n));
-    }
-
-    /// The tape-facing read path: frozen blocks surface as pooled constants
-    /// with the original shapes and (decoded) values.
-    #[test]
-    fn cache_constants_carry_shape_and_value_onto_the_tape() {
-        let c = frozen(SEGMENT_NODES + 3);
-        let mut g = Graph::new();
-        let v = SEGMENT_NODES + 1;
-        let e = c.embed_constant(&mut g, v).unwrap();
-        assert_eq!(g.value(e).shape(), &[1, 2]);
-        assert_eq!(g.value(e).data(), probe(v).data());
-        let q = c.proj_constant(&mut g, v, ProjSlot::Q).unwrap();
-        assert_eq!(g.value(q).shape(), &[1, 2]);
-        assert_eq!(g.value(q).data(), probe(v).data());
-        let gs = c.proj_constant(&mut g, v, ProjSlot::GateSrc).unwrap();
-        assert_eq!(g.value(gs).shape(), &[1, 1]);
-        assert_eq!(g.value(gs).data(), gate_probe(v + 1).data());
-        assert!(c.proj_constant(&mut g, v, ProjSlot::K).is_none());
-        // Local-overlay hits surface the same way, pre-freeze.
-        let mut overlay = EmbedCache::new();
-        overlay.insert(0, probe(7));
-        let o = overlay.embed_constant(&mut g, 0).unwrap();
-        assert_eq!(g.value(o).data(), probe(7).data());
-    }
-
-    #[test]
-    fn freeze_rebuilds_only_touched_segments() {
-        let n = SEGMENT_NODES * 3;
-        let base = frozen(n);
-        let addrs: Vec<_> = (0..3).map(|s| base.segment_addr(s).unwrap()).collect();
-        // Clone (Arc bumps), dirty one node in the middle segment, refreeze.
-        let mut next = base.clone();
-        let dirty = SEGMENT_NODES + 7;
-        next.insert(dirty, probe(999));
-        next.insert_proj(dirty, ProjSlot::Q, probe(998));
-        let next = next.into_shared();
-        // Clean segments share the previous epoch's storage...
-        assert_eq!(next.segment_addr(0), Some(addrs[0]));
-        assert_eq!(next.segment_addr(2), Some(addrs[2]));
-        // ...the touched one was copied...
-        assert_ne!(next.segment_addr(1), Some(addrs[1]));
-        // ...and lookups see the new value there, old values elsewhere.
-        assert_eq!(embed_of(&next, dirty).as_deref(), Some(probe(999).data()));
-        assert_eq!(next.proj_vec(dirty, ProjSlot::Q).as_deref(), Some(probe(998).data()));
-        assert_eq!(embed_of(&next, dirty + 1).as_deref(), Some(probe(dirty + 1).data()));
-        assert_eq!(embed_of(&next, 0).as_deref(), Some(probe(0).data()));
-        // The base epoch is untouched (copy-on-write, not in-place).
-        assert_eq!(embed_of(&base, dirty).as_deref(), Some(probe(dirty).data()));
-    }
-
-    #[test]
-    fn per_slot_projection_merge_preserves_unwritten_slots() {
-        let base = frozen(SEGMENT_NODES);
-        let mut next = base.clone();
-        // Overwrite only Q; GateSrc must survive the refreeze via fallthrough.
-        next.insert_proj(3, ProjSlot::Q, probe(777));
-        let next = next.into_shared();
-        assert_eq!(next.proj_vec(3, ProjSlot::Q).as_deref(), Some(probe(777).data()));
-        assert_eq!(next.proj_vec(3, ProjSlot::GateSrc).as_deref(), Some(gate_probe(4).data()));
-        // And the embedding of that node survives too.
-        assert_eq!(embed_of(&next, 3).as_deref(), Some(probe(3).data()));
-    }
-
-    #[test]
-    fn freeze_of_untouched_clone_is_pure_sharing() {
-        let base = frozen(SEGMENT_NODES * 2);
-        let next = base.clone().into_shared();
-        for s in 0..base.segment_count() {
-            assert_eq!(next.segment_addr(s), base.segment_addr(s), "segment {s}");
-        }
-    }
-
     /// Stacked block payloads for `insert_block` over probe dims
     /// `T = 1, C = 2`: per-node values distinguishable across lanes, kept
     /// integer-valued so they survive the `embed-f16` tier bit-exactly.
@@ -1115,6 +886,54 @@ mod tests {
         cache.insert_block(nodes, 1, 2, &vals);
     }
 
+    /// Cache with nodes `0..n` frozen through one probe block.
+    fn frozen(n: usize) -> EmbedCache {
+        let mut c = EmbedCache::new();
+        insert_probe_block(&mut c, &(0..n).collect::<Vec<_>>());
+        c
+    }
+
+    #[test]
+    fn segmented_cache_lookup_across_boundaries() {
+        let n = SEGMENT_NODES * 2 + 5;
+        let c = frozen(n);
+        assert_eq!(c.len(), n);
+        assert_eq!(c.cached_projections(), n);
+        assert_eq!(c.segment_count(), 3);
+        for v in [0, SEGMENT_NODES - 1, SEGMENT_NODES, n - 1] {
+            assert_eq!(c.embed_vec(v), Some(vec![v as f32, 1.0]), "embed {v}");
+            assert_eq!(c.proj_vec(v, ProjSlot::Q), Some(vec![(v + 1) as f32, 2.0]), "proj {v}");
+            assert_eq!(c.proj_vec(v, ProjSlot::GateSrc), Some(vec![(v + 4) as f32]), "gate {v}");
+        }
+        assert_eq!(c.embed_vec(n), None);
+        assert_eq!(c.proj_vec(n, ProjSlot::Q), None);
+        assert_eq!(c.embed_vec(SEGMENT_NODES * 40), None);
+    }
+
+    /// The tape-facing read path: frozen blocks surface as pooled constants
+    /// with the original shapes and (decoded) values.
+    #[test]
+    fn cache_constants_carry_shape_and_value_onto_the_tape() {
+        let c = frozen(SEGMENT_NODES + 3);
+        let mut g = Graph::new();
+        let v = SEGMENT_NODES + 1;
+        let e = c.layer_state_constant(&mut g, 0, v).unwrap();
+        assert_eq!(g.value(e).shape(), &[1, 2]);
+        assert_eq!(g.value(e).data(), &[v as f32, 1.0]);
+        let q = c.proj_constant_at(&mut g, 0, v, ProjSlot::Q).unwrap();
+        assert_eq!(g.value(q).shape(), &[1, 2]);
+        assert_eq!(g.value(q).data(), &[(v + 1) as f32, 2.0]);
+        let gs = c.proj_constant_at(&mut g, 0, v, ProjSlot::GateSrc).unwrap();
+        assert_eq!(g.value(gs).shape(), &[1, 1]);
+        assert_eq!(g.value(gs).data(), &[(v + 4) as f32]);
+        assert!(c.proj_constant_at(&mut g, 0, SEGMENT_NODES + 3, ProjSlot::K).is_none());
+        // Memo hits surface the same way.
+        let mut memo = EmbedCache::new();
+        memo.insert_layer_state(0, 0, probe(7));
+        let o = memo.layer_state_constant(&mut g, 0, 0).unwrap();
+        assert_eq!(g.value(o).data(), probe(7).data());
+    }
+
     #[test]
     fn insert_block_lands_directly_in_frozen_lanes() {
         let mut c = EmbedCache::new();
@@ -1132,13 +951,6 @@ mod tests {
             assert_eq!(c.proj_vec(v, ProjSlot::GateDst), Some(vec![(v + 5) as f32]));
         }
         assert_eq!(c.embed_vec(SEGMENT_NODES + 3), None);
-        // Nothing staged in the overlay: freezing is a no-op that keeps
-        // every segment's storage.
-        let addrs: Vec<_> = (0..c.segment_count()).map(|s| c.segment_addr(s)).collect();
-        let frozen = c.into_shared();
-        for (s, addr) in addrs.iter().enumerate() {
-            assert_eq!(frozen.segment_addr(s), *addr, "segment {s} rebuilt by freeze");
-        }
     }
 
     #[test]
@@ -1212,18 +1024,6 @@ mod tests {
         assert_eq!(next.len(), base.len());
     }
 
-    #[test]
-    fn insert_block_drops_stale_overlay_shadows() {
-        let mut c = EmbedCache::new();
-        c.insert(3, probe(999));
-        c.insert_proj(3, ProjSlot::Q, probe(998));
-        insert_probe_block(&mut c, &[2, 3, 4]);
-        // The overlay entries would shadow the frozen lanes — insert_block
-        // must have dropped them.
-        assert_eq!(c.embed_vec(3), Some(vec![3.0, 1.0]));
-        assert_eq!(c.proj_vec(3, ProjSlot::Q), Some(vec![4.0, 2.0]));
-    }
-
     /// Claimed page runs tile the table in order, each a whole number of
     /// pages, and blocks written through them land in the one table in
     /// place: no second cache, nothing to merge.
@@ -1285,7 +1085,7 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.segment_count(), 0);
         assert_eq!(c.segment_addr(0), None);
-        c.insert(5, probe(5));
+        c.insert_layer_state(0, 5, probe(5));
         assert_eq!(c.len(), 1);
         c.clear();
         assert!(c.is_empty());
@@ -1295,10 +1095,10 @@ mod tests {
         assert!(f.is_empty() && f.segment_count() == 0);
     }
 
-    /// The layer-state memo lives in the overlay: it is counted by
-    /// `cached_layer_states` and `approx_heap_bytes`, read back per
-    /// `(layer, node)` and slot (layer 0 still reads the embedding
-    /// projections), and dropped by `clear`.
+    /// The memo is counted by `cached_layer_states` (layers ≥ 1 only) and
+    /// `approx_heap_bytes`, read back per `(layer, node)` and slot, and
+    /// dropped by `clear`. At layer 0 the frozen tier is read first and the
+    /// memo serves only nodes it lacks.
     #[test]
     fn layer_state_memo_is_counted_read_back_and_cleared() {
         let mut c = frozen(SEGMENT_NODES);
@@ -1314,8 +1114,21 @@ mod tests {
         assert_eq!(g.value(k).data(), probe(31).data());
         assert!(c.proj_constant_at(&mut g, 1, 3, ProjSlot::Q).is_none());
         assert!(c.layer_state_constant(&mut g, 2, 3).is_none());
+        // A frozen lane wins over a layer-0 memo entry for the same node...
+        c.insert_proj_at(0, 3, ProjSlot::Q, probe(999));
         let q0 = c.proj_constant_at(&mut g, 0, 3, ProjSlot::Q).unwrap();
-        assert_eq!(g.value(q0).data(), probe(3).data());
+        assert_eq!(g.value(q0).data(), &[4.0, 2.0]);
+        // ...and the memo serves a node the frozen tier lacks: cached, but
+        // not a layer state.
+        let past = SEGMENT_NODES + 1;
+        c.insert_layer_state(0, past, probe(40));
+        c.insert_proj_at(0, past, ProjSlot::V, probe(41));
+        let e = c.layer_state_constant(&mut g, 0, past).unwrap();
+        assert_eq!(g.value(e).data(), probe(40).data());
+        assert_eq!(c.proj_vec(past, ProjSlot::V).as_deref(), Some(probe(41).data()));
+        assert_eq!(c.len(), SEGMENT_NODES + 1);
+        assert_eq!(c.cached_projections(), SEGMENT_NODES + 1);
+        assert_eq!(c.cached_layer_states(), 1);
         c.clear();
         assert_eq!(c.cached_layer_states(), 0);
         assert!(c.proj_constant_at(&mut g, 1, 3, ProjSlot::K).is_none());
@@ -1327,7 +1140,6 @@ mod tests {
     #[should_panic(expected = "must not be frozen")]
     fn freezing_a_memo_is_a_bug() {
         let mut c = EmbedCache::new();
-        c.insert(0, probe(0));
         c.insert_layer_state(1, 0, probe(1));
         let _ = c.into_shared();
     }

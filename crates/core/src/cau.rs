@@ -155,23 +155,11 @@ impl ConvolutionalAttentionUnit {
         }
     }
 
-    /// Precompute this CAU's Q/K/V projections of `e` (a node's embedding
-    /// on tape `g`) into `cache` — the publish-time half of the cached
-    /// batched dispatch.
-    pub fn precompute_projections(
-        &self,
-        g: &mut Graph,
-        ps: &ParamStore,
-        e: VarId,
-        node: usize,
-        cache: &mut EmbedCache,
-    ) {
-        for (conv, slot) in
-            [(&self.lq, ProjSlot::Q), (&self.lk, ProjSlot::K), (&self.lv, ProjSlot::V)]
-        {
-            let var = conv.forward(g, ps, e);
-            cache.insert_proj(node, slot, g.value(var).clone());
-        }
+    /// This CAU's Q/K/V projections of `e` (a node's embedding on tape
+    /// `g`), in that order — the per-node reference for the publish-time
+    /// half of the cached batched dispatch.
+    pub fn precompute_projections(&self, g: &mut Graph, ps: &ParamStore, e: VarId) -> [VarId; 3] {
+        self.projection_convs().map(|conv| conv.forward(g, ps, e))
     }
 
     /// The Q, K and V projection convs, in that order — the CAU's part of

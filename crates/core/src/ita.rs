@@ -201,22 +201,18 @@ impl ItaGcnLayer {
         g.sum_vars(&weighted)
     }
 
-    /// Publish-time precompute of every layer-0 projection of `e` (one
-    /// node's embedding on tape `g`): the CAU's Q/K/V plus the gate's
-    /// source/destination projections.
+    /// Every layer-0 projection of `e` (one node's embedding on tape `g`),
+    /// in [`ProjSlot`] order: the CAU's Q/K/V plus the gate's
+    /// source/destination projections — the per-node reference for the
+    /// publish-time precompute.
     pub fn precompute_node_projections(
         &self,
         g: &mut Graph,
         ps: &ParamStore,
         e: VarId,
-        node: usize,
-        cache: &mut EmbedCache,
-    ) {
-        self.cau.precompute_projections(g, ps, e, node, cache);
-        let su = self.l_s.forward(g, ps, e);
-        cache.insert_proj(node, ProjSlot::GateSrc, g.value(su).clone());
-        let dv = self.l_d.forward(g, ps, e);
-        cache.insert_proj(node, ProjSlot::GateDst, g.value(dv).clone());
+    ) -> [VarId; 5] {
+        let [q, k, v] = self.cau.precompute_projections(g, ps, e);
+        [q, k, v, self.l_s.forward(g, ps, e), self.l_d.forward(g, ps, e)]
     }
 
     /// Batched publish-time precompute over a **block** of `bt` stacked

@@ -165,36 +165,29 @@ impl Gaia {
         self.tel.forward(g, &self.ps, s)
     }
 
-    /// Run FFL+TEL for every local node and stack the ITA-GCN layers,
-    /// returning `(E per node, H^{(l)} per node for the final layer)`.
+    /// Run FFL+TEL for every local node and stack the first `layers`
+    /// ITA-GCN layers, returning `(E per node, H^{(layers)} per node)`;
+    /// `layers` is the model's depth `L` except for introspection.
     ///
     /// Representations are only refreshed for nodes whose hop distance still
     /// matters at each depth (`hop <= L - l`), which is exactly the receptive
     /// field of the centre node — the same economy AGL's instance generation
     /// provides in the paper's deployment.
-    fn propagate(
-        &self,
-        g: &mut Graph,
-        ds: &gaia_synth::Dataset,
-        ego: &EgoSubgraph,
-    ) -> (Vec<VarId>, Vec<VarId>) {
-        self.propagate_with(g, ds, ego, None)
-    }
-
-    /// [`Gaia::propagate`] with an optional per-node embedding value cache
-    /// (inference only: cached embeddings enter the tape as constants, so no
-    /// gradient flows through them).
+    ///
+    /// With a `cache` (inference only), cached embeddings enter the tape as
+    /// constants, so no gradient flows through them.
     fn propagate_with(
         &self,
         g: &mut Graph,
         ds: &gaia_synth::Dataset,
         ego: &EgoSubgraph,
         cache: Option<&mut EmbedCache>,
+        layers: usize,
     ) -> (Vec<VarId>, Vec<VarId>) {
         let e = self.embed_locals(g, ds, ego, cache);
         let l_max = self.layers.len();
         let mut h = e.clone();
-        for (li, layer) in self.layers.iter().enumerate() {
+        for (li, layer) in self.layers.iter().take(layers).enumerate() {
             let l = li + 1;
             let mut next = h.clone();
             for u in 0..ego.len() {
@@ -223,13 +216,13 @@ impl Gaia {
             let node = ego.nodes[v] as usize;
             // Cached embeddings enter the tape as pooled copies (no clone of
             // the cache storage, no fresh allocation in steady state).
-            let hit = cache.as_ref().and_then(|c| c.embed_constant(g, node));
+            let hit = cache.as_ref().and_then(|c| c.layer_state_constant(g, 0, node));
             let var = match hit {
                 Some(var) => var,
                 None => {
                     let var = self.embed(g, ds, node);
                     if let Some(c) = cache.as_mut() {
-                        c.insert(node, g.value(var).clone());
+                        c.insert_layer_state(0, node, g.value(var).clone());
                     }
                     var
                 }
@@ -306,40 +299,19 @@ impl Gaia {
         ds: &gaia_synth::Dataset,
         ego: &EgoSubgraph,
     ) -> AttentionDetail {
-        let (_, h) = self.propagate_to_penultimate(g, ds, ego);
         let last = self.layers.last().expect("at least one layer");
+        let (_, h) = self.propagate_with(g, ds, ego, None, self.layers.len() - 1);
         last.attention_detail(g, &self.ps, &h, ego, 0)
     }
 
-    /// Propagate through all but the last layer (helper for introspection).
-    fn propagate_to_penultimate(
-        &self,
-        g: &mut Graph,
-        ds: &gaia_synth::Dataset,
-        ego: &EgoSubgraph,
-    ) -> (Vec<VarId>, Vec<VarId>) {
-        let n = ego.len();
-        let e = self.embed_locals(g, ds, ego, None);
-        let l_max = self.layers.len();
-        let mut h = e.clone();
-        for (li, layer) in self.layers.iter().take(l_max - 1).enumerate() {
-            let l = li + 1;
-            let mut next = h.clone();
-            for u in 0..n {
-                if (ego.hops[u] as usize) <= l_max - l {
-                    next[u] = layer.forward_node(g, &self.ps, &h, ego, u);
-                }
-            }
-            h = next;
-        }
-        (e, h)
-    }
-
-    /// Precompute the FFL → TEL embedding value `E_v` for every node of
-    /// `ds` — the publish-time half of the serving fast path. The returned
-    /// cache makes [`GraphForecaster::forward_center_cached`] skip the
-    /// per-node embedding subgraph entirely; entries are bit-identical to
-    /// what the forward pass computes, so predictions do not change.
+    /// Precompute the FFL → TEL embedding value `E_v` and its five layer-0
+    /// projections for every node of `ds` — the publish-time half of the
+    /// serving fast path. The returned cache holds them in its frozen tier
+    /// and nothing in its memo, so it is ready to share: installing it
+    /// makes [`GraphForecaster::forward_centers_cached`] skip the per-node
+    /// embedding subgraph and the layer-0 projection convs entirely.
+    /// Entries are the values the forward pass computes (exactly on the f32
+    /// tier), so predictions do not change.
     ///
     /// Dispatches to the batched block driver
     /// ([`Gaia::precompute_embeddings_batched`]) with the default block
@@ -349,26 +321,25 @@ impl Gaia {
         self.precompute_embeddings_batched(ds, PUBLISH_BLOCK)
     }
 
-    /// Reference per-node publish loop: one tape reset and one unbatched
-    /// FFL → TEL forward per node, results staged through the local overlay
-    /// (so callers still need [`EmbedCache::into_shared`]). Kept as the
-    /// bit-exactness reference the publish-parity wall and the bench
-    /// speedup ratios compare the batched driver against.
-    pub fn precompute_embeddings_per_node(&self, ds: &gaia_synth::Dataset) -> EmbedCache {
-        let mut cache = EmbedCache::new();
+    /// Reference per-node publish: one tape reset and one unbatched
+    /// FFL → TEL forward per node, then the layer-0 projections of that
+    /// embedding on the same tape. Returns each node's six lanes
+    /// `[E_v, Q, K, V, gate src, gate dst]` (lane `1 + slot as usize` is
+    /// [`crate::ProjSlot`] `slot`) as raw tape values that pass through no
+    /// cache writer. Kept as the bit-exactness reference the
+    /// publish-parity walls compare the batched driver's cache against.
+    pub fn precompute_embeddings_per_node(&self, ds: &gaia_synth::Dataset) -> Vec<[Vec<f32>; 6]> {
+        let layer0 = self.layers.first().expect("GaiaConfig::validate requires layers >= 1");
         let mut g = Graph::for_inference();
-        for node in 0..ds.n {
-            g.reset();
-            let e = self.embed(&mut g, ds, node);
-            cache.insert(node, g.value(e).clone());
-            // Layer-0 CAU + gate projections are functions of E_v and the
-            // parameters alone — precompute them alongside the embedding
-            // so the batched request path skips those convs entirely.
-            if let Some(layer0) = self.layers.first() {
-                layer0.precompute_node_projections(&mut g, &self.ps, e, node, &mut cache);
-            }
-        }
-        cache
+        (0..ds.n)
+            .map(|node| {
+                g.reset();
+                let e = self.embed(&mut g, ds, node);
+                let [q, k, v, gate_src, gate_dst] =
+                    layer0.precompute_node_projections(&mut g, &self.ps, e);
+                [e, q, k, v, gate_src, gate_dst].map(|var| g.value(var).data().to_vec())
+            })
+            .collect()
     }
 
     /// Batched publish: process nodes in fixed blocks of `block`, stacking
@@ -396,9 +367,9 @@ impl Gaia {
     /// `(ds row, parameters)` computed by kernels that are bit-identical
     /// per member to the per-node path, so the result is independent of
     /// block size, worker count and claim order —
-    /// [`Gaia::precompute_embeddings_per_node`] followed by a freeze
-    /// yields the same cache (bit-exact on the scalar build; the
-    /// simd/embed-f16 tolerance tiers are measured against it).
+    /// [`Gaia::precompute_embeddings_per_node`] computes the same values
+    /// (bit-exact on the scalar build; the simd/embed-f16 tolerance tiers
+    /// are measured against it).
     pub fn precompute_embeddings_batched(
         &self,
         ds: &gaia_synth::Dataset,
@@ -615,7 +586,7 @@ impl GraphForecaster for Gaia {
     }
 
     fn forward_center(&self, g: &mut Graph, ds: &gaia_synth::Dataset, ego: &EgoSubgraph) -> VarId {
-        let (e, h) = self.propagate(g, ds, ego);
+        let (e, h) = self.propagate_with(g, ds, ego, None, self.layers.len());
         self.head.forward(g, &self.ps, h[0], e[0])
     }
 
@@ -626,7 +597,7 @@ impl GraphForecaster for Gaia {
         ego: &EgoSubgraph,
         cache: &mut EmbedCache,
     ) -> VarId {
-        let (e, h) = self.propagate_with(g, ds, ego, Some(cache));
+        let (e, h) = self.propagate_with(g, ds, ego, Some(cache), self.layers.len());
         self.head.forward(g, &self.ps, h[0], e[0])
     }
 
@@ -703,13 +674,14 @@ mod tests {
             let cfg = small_cfg(&ds).with_variant(variant);
             let model = Gaia::new(cfg, 5);
             let batched = model.precompute_embeddings_batched(&ds, 7);
-            let per_node = model.precompute_embeddings_per_node(&ds).into_shared();
+            let per_node = model.precompute_embeddings_per_node(&ds);
             assert_eq!(batched.len(), ds.n);
-            for node in 0..ds.n {
+            assert_eq!(per_node.len(), ds.n);
+            for (node, lanes) in per_node.iter().enumerate() {
                 let label = format!("{variant:?} node {node}");
                 assert_publish_tier(
                     &batched.embed_vec(node).unwrap(),
-                    &per_node.embed_vec(node).unwrap(),
+                    &lanes[0],
                     &format!("{label} embed"),
                 );
                 for slot in
@@ -717,7 +689,7 @@ mod tests {
                 {
                     assert_publish_tier(
                         &batched.proj_vec(node, slot).unwrap(),
-                        &per_node.proj_vec(node, slot).unwrap(),
+                        &lanes[1 + slot as usize],
                         &format!("{label} {slot:?}"),
                     );
                 }

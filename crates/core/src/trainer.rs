@@ -234,11 +234,15 @@ pub struct Prediction {
 }
 
 /// Reusable per-worker inference state: a forward-only autodiff tape, an
-/// ego-extraction workspace and a per-node embedding cache. Holding one
+/// ego-extraction workspace and a per-node value cache. Holding one
 /// `InferenceScratch` per serving worker (or per predict thread) removes the
 /// per-request tape and BFS allocations from the hot path and reuses node
 /// embeddings, projections and centre-independent layer states across
-/// requests — see `gaia_serving`'s `InferenceContext`.
+/// requests — see `gaia_serving`'s `InferenceContext`. A serving worker
+/// installs a publish's cache, whose frozen tier already holds every
+/// node's embedding and layer-0 projections, so its memo only gathers
+/// deeper layer states; a scratch without one memoises the embeddings and
+/// projections it computes itself.
 ///
 /// The cache is only valid while the model parameters, the dataset **and
 /// the graph** stay fixed (memoised layer states are functions of a node's
@@ -281,13 +285,13 @@ impl InferenceScratch {
         self.cache = cache;
     }
 
-    /// Number of nodes with a cached embedding.
+    /// Number of nodes with a cached embedding (published or memoised).
     pub fn cached_embeddings(&self) -> usize {
         self.cache.len()
     }
 
     /// Number of nodes with cached layer-0 projections (the batched
-    /// path's publish-time precompute; see `EmbedCache::proj_constant`).
+    /// path's publish-time precompute, or what it memoised without one).
     pub fn cached_projections(&self) -> usize {
         self.cache.cached_projections()
     }
@@ -346,10 +350,12 @@ pub fn predict_one_with<M: GraphForecaster + ?Sized>(
 /// prediction-head GEMM across the batch.
 ///
 /// Every batch size takes this path, one included: a lone request reads
-/// the publish-time layer-0 projections from the cache just as a full
-/// micro-batch does. A model with more than one ITA layer also memoises
-/// centre-independent layer states in `scratch`'s cache, so `scratch` must
-/// only ever see one `(model, ds, graph)` between cache clears.
+/// the publish-time embeddings and layer-0 projections from the cache's
+/// frozen tier just as a full micro-batch does, and only memoises them
+/// when no publish installed them. A model with more than one ITA layer
+/// also memoises centre-independent layer states in `scratch`'s cache, so
+/// `scratch` must only ever see one `(model, ds, graph)` between cache
+/// clears.
 ///
 /// **Parity contract** (pinned by `tests/proptest_invariants.rs` for batch
 /// sizes 1..=16 and by the committed golden fixtures): the result is
@@ -620,7 +626,7 @@ mod tests {
             // Warm scratch with the publish-time precompute installed
             // (exercises the all-hit paths the serving workers run).
             let mut warm = InferenceScratch::new();
-            warm.install_embed_cache(model.precompute_embeddings(&ds).into_shared());
+            warm.install_embed_cache(model.precompute_embeddings(&ds));
             let got = predict_batch_with(&model, &ds, &world.graph, &nodes, 5, &mut warm);
             for (a, b) in got.iter().zip(&expected) {
                 // Bitwise on the f32 cache tier; the `embed-f16` tier
@@ -676,7 +682,7 @@ mod tests {
         for published in [false, true] {
             let mut scratch = InferenceScratch::new();
             if published {
-                scratch.install_embed_cache(model.precompute_embeddings(&ds).into_shared());
+                scratch.install_embed_cache(model.precompute_embeddings(&ds));
             }
             let mut memo_after_sweep = Vec::new();
             for sweep in [&forward, &backward] {
@@ -699,9 +705,46 @@ mod tests {
             // The second sweep revisits the same egos, so every complete
             // node it meets is already memoised.
             assert_eq!(memo_after_sweep[0], memo_after_sweep[1], "second sweep grew the memo");
-            for (layer, node) in scratch.cache.layer_state_keys() {
+            for (layer, node) in scratch.cache.memo_keys() {
+                // Layer 0 holds a scratch's own embeddings; a published
+                // cache serves them from its frozen tier.
+                if layer == 0 {
+                    assert!(!published, "a published cache memoised node {node} at layer 0");
+                    continue;
+                }
                 assert_eq!(layer, 1, "only the non-final layer is memoised");
                 assert!(degree(node) <= fanout, "node {node} above the fan-out was memoised");
+            }
+        }
+    }
+
+    /// With a publish installed, serving reads every embedding and layer-0
+    /// projection from the frozen tier and never writes the layer-0 memo,
+    /// at any batch size and depth; a 2-layer model still memoises deeper
+    /// states.
+    #[test]
+    fn serving_never_fills_the_layer0_memo() {
+        let (world, ds) = generate_dataset(WorldConfig::tiny());
+        let shops: Vec<usize> = (0..ds.n).collect();
+        for layers in [1, 2] {
+            let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
+            cfg.channels = 8;
+            cfg.kernel_groups = 2;
+            cfg.layers = layers;
+            cfg.ego = EgoConfig { hops: layers, fanout: 3 };
+            let model = Gaia::new(cfg, 13);
+            for bs in [1usize, 3, 8] {
+                let mut scratch = InferenceScratch::new();
+                scratch.install_embed_cache(model.precompute_embeddings(&ds));
+                for batch in shops.chunks(bs) {
+                    predict_batch_with(&model, &ds, &world.graph, batch, 4, &mut scratch);
+                }
+                let layer0 = scratch.cache.memo_keys().filter(|&(layer, _)| layer == 0).count();
+                assert_eq!(layer0, 0, "{layers} layers, batch {bs}: layer-0 memo entries");
+                assert_eq!(scratch.cached_embeddings(), ds.n);
+                if layers == 2 {
+                    assert!(scratch.cached_layer_states() > 0, "batch {bs}: no deeper memo");
+                }
             }
         }
     }

@@ -57,9 +57,9 @@ impl ModelSnapshot {
     ) -> Self {
         let mut model = Gaia::new(artifact.config.clone(), 0);
         model.restore(&artifact.checkpoint).expect("artifact checkpoint must load");
-        // Frozen/shared form: installing into a worker context is an Arc
-        // bump, not a deep copy of every node's tensor.
-        let embeddings = model.precompute_embeddings(&ds).into_shared();
+        // Copy-on-write frozen segments: installing into a worker context
+        // is an Arc bump per page, not a deep copy of every node's tensor.
+        let embeddings = model.precompute_embeddings(&ds);
         Self { version: artifact.version, world_rev, model, embeddings, ds, graph }
     }
 }
@@ -325,10 +325,8 @@ impl ModelServer {
                     recompute.insert(pos, v);
                 }
             }
-            let embeddings = prev
-                .model
-                .precompute_embeddings_delta(&ds, &prev.embeddings, &recompute)
-                .into_shared();
+            let embeddings =
+                prev.model.precompute_embeddings_delta(&ds, &prev.embeddings, &recompute);
             stats = DeltaPublishStats {
                 world_nodes: ds.n,
                 dirty_nodes: dirty.len(),
@@ -356,7 +354,7 @@ impl ModelServer {
     pub fn publish_full(&self, world: &World) {
         self.snapshot.update(|prev| {
             let ds = refresh_dataset_full(world, &prev.ds);
-            let embeddings = prev.model.precompute_embeddings(&ds).into_shared();
+            let embeddings = prev.model.precompute_embeddings(&ds);
             Arc::new(ModelSnapshot {
                 version: prev.version,
                 world_rev: prev.world_rev + 1,

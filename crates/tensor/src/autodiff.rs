@@ -585,25 +585,6 @@ impl Graph {
         })
     }
 
-    /// Select the row range `[r0, r1)` of a rank-2 tensor.
-    pub fn slice_rows(&mut self, x: VarId, r0: usize, r1: usize) -> VarId {
-        let (rows, cols) = {
-            let xv = &self.nodes[x].value;
-            (xv.rows(), xv.cols())
-        };
-        assert!(r0 < r1 && r1 <= rows, "slice_rows: bad range {r0}..{r1} of {rows}");
-        let mut v = self.pool.alloc(&[r1 - r0, cols]);
-        v.data_mut().copy_from_slice(&self.nodes[x].value.data()[r0 * cols..r1 * cols]);
-        self.push_op(v, &[x], || {
-            Box::new(move |g, inputs, _, pool| {
-                let cols = g.cols();
-                let mut dx = pool.alloc_zeroed(inputs[0].shape());
-                dx.data_mut()[r0 * cols..r1 * cols].copy_from_slice(g.data());
-                vec![dx]
-            })
-        })
-    }
-
     /// Mean over rows of `x: [r, c]`, producing `[1, c]` (readout pooling).
     pub fn mean_rows(&mut self, x: VarId) -> VarId {
         let (rows, cols) = {
@@ -926,14 +907,6 @@ impl Graph {
                 out
             })
         })
-    }
-
-    /// Batched matmul with a shared right-hand side:
-    /// `x: [bt, m, k] @ w: [k, n] → [bt, m, n]` as **one** blocked GEMM
-    /// over the stacked members ([`kernels::matmul_batched_into`]) —
-    /// bit-identical per member to [`Graph::matmul`].
-    pub fn matmul_batched(&mut self, x: VarId, w: VarId) -> VarId {
-        self.linear_batched(x, w, None, Activation::Identity)
     }
 
     /// Batched fused dense layer `act(x[bt,m,k] @ w[k,n] (+ b))` as one
@@ -1702,13 +1675,6 @@ impl Graph {
         })
     }
 
-    /// Mean of all elements, as a `[1]` tensor.
-    pub fn mean_all(&mut self, x: VarId) -> VarId {
-        let n = self.nodes[x].value.len() as f32;
-        let s = self.sum_all(x);
-        self.scale(s, 1.0 / n)
-    }
-
     /// Mean-squared-error loss against a constant target (Eq. 10).
     pub fn mse(&mut self, pred: VarId, target: &Tensor) -> VarId {
         let pv = &self.nodes[pred].value;
@@ -1894,7 +1860,7 @@ mod tests {
                 let s = g.sigmoid(v[0]);
                 let t = g.tanh(s);
                 let sq = g.mul(t, t);
-                g.mean_all(sq)
+                g.sum_all(sq)
             },
             &inputs,
             1e-2,
@@ -2155,7 +2121,8 @@ mod tests {
         check(
             &|g, ins| {
                 let v = bind_all(g, ins);
-                let s = g.slice_rows(v[0], 2, 5);
+                let stacked = g.reshape(v[0], vec![2, 3, 3]);
+                let s = g.slice_batch(stacked, 1);
                 let m = g.mean_rows(s);
                 let m = g.sigmoid(m);
                 g.sum_all(m)
@@ -2301,7 +2268,7 @@ mod tests {
             let b = g.constant(inputs[1].clone());
             let m = g.matmul(a, b);
             let s = g.sigmoid(m);
-            let out = g.mean_all(s);
+            let out = g.sum_all(s);
             g.value(out).data().to_vec()
         };
         let mut recording = Graph::new();
@@ -2511,12 +2478,12 @@ mod tests {
             assert_eq!(seg, g.value(single).data(), "matmul_strided member {i}");
         }
 
-        // matmul_batched (one GEMM) vs per-member matmul.
-        let mb = g.matmul_batched(stacked, wv);
+        // linear_batched (one GEMM, no bias) vs per-member matmul.
+        let mb = g.linear_batched(stacked, wv, None, Activation::Identity);
         for (i, &m) in vars.iter().enumerate() {
             let single = g.matmul(m, wv);
             let seg = &g.value(mb).data()[i * t * n..(i + 1) * t * n];
-            assert_eq!(seg, g.value(single).data(), "matmul_batched member {i}");
+            assert_eq!(seg, g.value(single).data(), "linear_batched member {i}");
         }
         assert_eq!(g.value(mb).shape(), &[bt, t, n]);
     }
@@ -2626,7 +2593,7 @@ mod tests {
             let stacked = g.stack_rows(&[a, b]);
             let probs = g.attention_probs_causal_batched(q, stacked, 0.5);
             let msgs = g.matmul_strided(probs, stacked);
-            let proj = g.matmul_batched(msgs, w);
+            let proj = g.linear_batched(msgs, w, None, Activation::Identity);
             let first = g.slice_batch(proj, 0);
             g.value(first).data().to_vec()
         };
@@ -2652,7 +2619,7 @@ mod tests {
             let w = g.bind_param(1, inputs[1].clone());
             let conv = g.conv1d(x, w, None, PadMode::Same);
             let act = g.tanh(conv);
-            let loss = g.mean_all(act);
+            let loss = g.sum_all(act);
             g.backward(loss);
             let grads: Vec<Vec<f32>> = g.param_grads().map(|(_, t)| t.data().to_vec()).collect();
             (g.value(loss).data().to_vec(), grads)

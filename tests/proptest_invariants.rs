@@ -874,22 +874,24 @@ proptest! {
         let model = Gaia::new(cfg, world_seed ^ 0xB10C);
 
         let batched = model.precompute_embeddings_batched(&ds, block);
-        let reference = model.precompute_embeddings_per_node(&ds).into_shared();
+        let reference = model.precompute_embeddings_per_node(&ds);
+        prop_assert_eq!(reference.len(), ds.n);
 
         const SLOTS: [ProjSlot; 5] =
             [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
-        for node in 0..ds.n {
+        for (node, raw) in reference.into_iter().enumerate() {
+            let [embed, proj @ ..] = raw;
             let mut lanes: Vec<(&str, Vec<f32>, Vec<f32>)> = Vec::with_capacity(6);
             lanes.push((
                 "embed",
                 batched.embed_vec(node).expect("batched publish must cover every node"),
-                reference.embed_vec(node).expect("per-node publish must cover every node"),
+                embed,
             ));
-            for slot in SLOTS {
+            for (slot, want) in SLOTS.into_iter().zip(proj) {
                 lanes.push((
                     "proj",
                     batched.proj_vec(node, slot).expect("batched projections missing"),
-                    reference.proj_vec(node, slot).expect("per-node projections missing"),
+                    want,
                 ));
             }
             for (lane, got, want) in lanes {
