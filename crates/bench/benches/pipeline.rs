@@ -48,7 +48,7 @@ fn bench_fig4_introspection(c: &mut Criterion) {
 
 fn bench_fig1a_histogram(c: &mut Criterion) {
     let (_, ds) = bench_world();
-    let lens: Vec<f64> = ds.observed_len.iter().map(|&l| l as f64).collect();
+    let lens: Vec<f64> = (0..ds.n).map(|v| ds.observed_len(v) as f64).collect();
     c.bench_function("fig1a_histogram", |b| {
         b.iter(|| black_box(Histogram::fixed(&lens, 0.0, 25.0, 25)));
     });

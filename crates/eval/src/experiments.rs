@@ -229,9 +229,9 @@ pub struct Fig1aResult {
 /// Run the Fig 1(a) experiment.
 pub fn run_fig1a(cfg: &HarnessConfig) -> Fig1aResult {
     let (_, ds) = cfg.materialize();
-    let lens: Vec<f64> = ds.observed_len.iter().map(|&l| l as f64).collect();
+    let lens: Vec<f64> = (0..ds.n).map(|v| ds.observed_len(v) as f64).collect();
     let histogram = Histogram::fixed(&lens, 0.0, ds.t as f64 + 1.0, ds.t + 1);
-    let short = ds.observed_len.iter().filter(|&&l| l < 10).count();
+    let short = (0..ds.n).filter(|&v| ds.observed_len(v) < 10).count();
     Fig1aResult {
         skewness: histogram.skewness(),
         histogram,
@@ -338,7 +338,7 @@ pub fn run_fig4(cfg: &HarnessConfig) -> Fig4Result {
         .test
         .iter()
         .copied()
-        .filter(|&v| ds.observed_len[v] == ds.t && world.graph.degree(v) >= 1)
+        .filter(|&v| ds.observed_len(v) == ds.t && world.graph.degree(v) >= 1)
         .take(24)
         .collect();
     for &center in &candidates {

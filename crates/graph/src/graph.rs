@@ -5,6 +5,7 @@
 //! edge feature; we keep the type on each CSR entry for exactly that reason.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The two (three, counting shareholder separately) relationship kinds of
 /// Fig. 1(b).
@@ -60,11 +61,19 @@ pub struct Neighbor {
 /// Compressed sparse-row e-seller graph. Edges are stored in both directions
 /// so neighbourhood aggregation (Eq. 8) can traverse either way while the
 /// `outgoing` flag preserves supply-chain directionality.
+///
+/// The CSR is immutable once built: both buffers sit behind an `Arc`, so
+/// `clone()` is two refcount bumps and every clone reads the same storage.
+/// A mutation of the world builds a fresh graph with
+/// [`EsellerGraph::from_edges`]; it never edits a graph in place. A serving
+/// snapshot therefore holds the world's graph without copying it, and a
+/// republish whose burst changed no edge shares the previous snapshot's
+/// graph.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct EsellerGraph {
     n: usize,
-    offsets: Vec<usize>,
-    entries: Vec<Neighbor>,
+    offsets: Arc<Vec<usize>>,
+    entries: Arc<Vec<Neighbor>>,
     edge_count: usize,
 }
 
@@ -105,7 +114,7 @@ impl EsellerGraph {
             entries.extend_from_slice(list);
             offsets.push(entries.len());
         }
-        Self { n, offsets, entries, edge_count: kept }
+        Self { n, offsets: Arc::new(offsets), entries: Arc::new(entries), edge_count: kept }
     }
 
     /// Number of nodes.
@@ -218,6 +227,28 @@ mod tests {
     }
 
     #[test]
+    fn clone_shares_both_csr_buffers() {
+        let g = toy();
+        let c = g.clone();
+        assert!(Arc::ptr_eq(&g.offsets, &c.offsets));
+        assert!(Arc::ptr_eq(&g.entries, &c.entries));
+        for v in 0..g.num_nodes() {
+            assert_eq!(g.neighbors(v).as_ptr(), c.neighbors(v).as_ptr(), "node {v}");
+        }
+    }
+
+    #[test]
+    fn serde_round_trip_preserves_the_csr() {
+        let g = toy();
+        let json = serde_json::to_string(&g).expect("serialize");
+        let back: EsellerGraph = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back.num_nodes(), g.num_nodes());
+        assert_eq!(back.num_edges(), g.num_edges());
+        assert_eq!(back.offsets, g.offsets);
+        assert_eq!(back.entries, g.entries);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         let _ = EsellerGraph::from_edges(2, &[Edge { src: 0, dst: 5, ty: EdgeType::SameOwner }]);
@@ -250,7 +281,7 @@ mod tests {
             entries.extend_from_slice(list);
             offsets.push(entries.len());
         }
-        EsellerGraph { n, offsets, entries, edge_count: kept }
+        EsellerGraph { n, offsets: Arc::new(offsets), entries: Arc::new(entries), edge_count: kept }
     }
 
     #[test]

@@ -292,6 +292,14 @@ impl ModelServer {
     /// previous generation — O(dirty·ego) allocation and compute instead of
     /// the O(world) teardown of [`ModelServer::publish_full`].
     ///
+    /// Nothing is copied in proportion to the world. The new snapshot
+    /// holds `world.graph` by `Arc` (two refcount bumps; a burst that
+    /// changed no edge shares the previous snapshot's CSR), and the
+    /// refreshed dataset shares its splits and every clean row segment
+    /// with the previous one. What remains O(world) is walking the
+    /// dataset's segment table and the cache's page table, one `Arc` bump
+    /// per 64 nodes each, and the closure's per-node `seen` flags.
+    ///
     /// The model is carried over unchanged (republish ≠ retrain); the
     /// delta-vs-full parity wall proves served predictions are identical to
     /// the teardown path for any mutation sequence. The closure runs inside
@@ -1350,6 +1358,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A snapshot holds the world's graph by `Arc`, never a copy: a delta
+    /// publish whose burst changed no edge serves from the previous
+    /// snapshot's CSR storage, and one after an `add_supply_edge` serves
+    /// the world's rebuilt graph.
+    #[test]
+    fn delta_publish_shares_the_graph_until_an_edge_changes() {
+        use gaia_synth::{MonthlySales, Role};
+        fn same_storage(a: &EsellerGraph, b: &EsellerGraph) -> bool {
+            a.num_nodes() == b.num_nodes()
+                && (0..a.num_nodes()).all(|v| a.neighbors(v).as_ptr() == b.neighbors(v).as_ptr())
+        }
+        let (server, mut world, _) = untrained_server(160, 9);
+        let before = server.snapshot();
+        let window: Vec<MonthlySales> = (0..before.ds.horizon + 2)
+            .map(|m| MonthlySales { gmv: 8_000.0 + 50.0 * m as f64, orders: 30.0, customers: 20.0 })
+            .collect();
+        world.record_sales(2, &window);
+        let dirty = world.take_dirty();
+        server.publish_delta(&world, &dirty);
+        let sales_only = server.snapshot();
+        assert!(
+            same_storage(&sales_only.graph, &before.graph),
+            "an edge-free burst copied the CSR"
+        );
+
+        let supplier = world.shops.iter().position(|s| s.role == Role::Supplier).unwrap() as u32;
+        let retailers: Vec<u32> = (0..world.shops.len() as u32)
+            .filter(|&r| world.shops[r as usize].role == Role::Retailer)
+            .collect();
+        let added = retailers
+            .into_iter()
+            .find(|&r| world.add_supply_edge(supplier, r))
+            .expect("some retailer is not yet supplied by the first supplier");
+        let dirty = world.take_dirty();
+        server.publish_delta(&world, &dirty);
+        let rewired = server.snapshot();
+        assert!(!same_storage(&rewired.graph, &sales_only.graph), "a rewire served the old CSR");
+        assert!(same_storage(&rewired.graph, &world.graph));
+        assert_eq!(rewired.graph.num_edges(), before.graph.num_edges() + 1);
+        assert!(rewired.graph.neighbors(supplier as usize).iter().any(|nb| nb.node == added));
     }
 
     /// Pure model publishes and world republishes advance orthogonal

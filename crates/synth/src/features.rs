@@ -9,9 +9,11 @@
 //! `Arc`-shared segments of [`SEGMENT_ROWS`] consecutive shops, each one
 //! contiguous block at a fixed per-row stride, rather than one heap object
 //! per shop. Building a million-shop dataset performs O(N / 64)
-//! allocations, cloning a dataset is one `Arc` bump per segment, and an
-//! incremental refresh copies only the segments its rewritten rows land in
-//! (path copying, as in the frozen embedding cache). Consumers read rows
+//! allocations, cloning a dataset is one `Arc` bump per segment plus one
+//! for the splits, and an incremental refresh copies only the segments its
+//! rewritten rows land in (path copying, as in the frozen embedding cache).
+//! No per-shop column lives outside the segments, so a refresh copies
+//! nothing proportional to the world. Consumers read rows
 //! through the `*_row`/`temporal_at` accessors; the segments themselves are
 //! private so the stride contracts below cannot be bypassed.
 
@@ -122,12 +124,14 @@ pub const SEGMENT_ROWS: usize = 64;
 /// Every row occupies a fixed [`RowLayout::stride`] span of `f32`s —
 /// input series `[T]`, stored aux columns `[T][2]`, statics `[d_s]`,
 /// model-space targets `[T']`, in that order — plus `[T']` raw currency
-/// targets in the `f64` block. Segments are allocated full-size; rows past
-/// the dataset's `n` stay zero until a refresh appends shops into them.
+/// targets in the `f64` block and each row's observed window length,
+/// stored inline. Segments are allocated full-size; rows past the
+/// dataset's `n` stay zero until a refresh appends shops into them.
 #[derive(Clone, Debug)]
 struct RowSegment {
     values: Vec<f32>,
     targets_raw: Vec<f64>,
+    observed_len: [usize; SEGMENT_ROWS],
 }
 
 /// Offsets of one shop's columns inside its segment row (all in `f32`
@@ -165,6 +169,7 @@ impl RowLayout {
         RowSegment {
             values: vec![0.0; SEGMENT_ROWS * self.stride()],
             targets_raw: vec![0.0; SEGMENT_ROWS * self.horizon],
+            observed_len: [0; SEGMENT_ROWS],
         }
     }
 }
@@ -177,6 +182,7 @@ struct RowMut<'a> {
     statics: &'a mut [f32],
     targets_norm: &'a mut [f32],
     targets_raw: &'a mut [f64],
+    observed_len: &'a mut usize,
 }
 
 impl RowSegment {
@@ -194,6 +200,7 @@ impl RowSegment {
             statics,
             targets_norm,
             targets_raw: &mut self.targets_raw[off * h..(off + 1) * h],
+            observed_len: &mut self.observed_len[off],
         }
     }
 }
@@ -201,10 +208,13 @@ impl RowSegment {
 /// Model-ready dataset: per-shop input window features and horizon targets,
 /// plus the graph-independent bookkeeping every model shares.
 ///
-/// All per-shop feature columns live in copy-on-write segments of
-/// [`SEGMENT_ROWS`] shops (shop `v` is row `v % 64` of segment `v / 64`,
-/// its columns at fixed offsets inside the row). Read them through
-/// [`Dataset::gmv_row`] and friends.
+/// All per-shop columns, the observed window length included, live in
+/// copy-on-write segments of [`SEGMENT_ROWS`] shops (shop `v` is row
+/// `v % 64` of segment `v / 64`, its columns at fixed offsets inside the
+/// row). Read them through [`Dataset::gmv_row`], [`Dataset::observed_len`]
+/// and friends. The splits sit behind one `Arc`, copied only when a
+/// refresh appends shops to the test split. A clone is therefore one
+/// `Arc` bump per segment plus one for the splits.
 #[derive(Clone, Debug)]
 pub struct Dataset {
     /// Number of shops.
@@ -219,18 +229,15 @@ pub struct Dataset {
     /// row-major), the static features and both target vectors. The other
     /// three temporal features are not stored per shop at all: sin/cos of
     /// the month come from the shared [`Dataset::trig`] table (identical
-    /// for every shop) and the observed flag is derived from
-    /// [`Dataset::observed_len`] (observed months are a window suffix) —
-    /// see [`Dataset::temporal_at`]. Storing 2 of the 5 temporal columns
+    /// for every shop) and the observed flag is derived from the segment's
+    /// [`Dataset::observed_len`] column (observed months are a window
+    /// suffix) — see [`Dataset::temporal_at`]. Storing 2 of the 5 temporal columns
     /// cuts the dominant part of each row to 40% without changing a single
     /// value the model sees.
     rows: Vec<Arc<RowSegment>>,
     /// Month sin/cos table for the input window, `[T]` — shared by every
     /// shop's temporal row.
     trig: Vec<(f32, f32)>,
-    /// Observed months inside the input window per shop (`T` minus leading
-    /// zeros) — the Fig 3 grouping key.
-    pub observed_len: Vec<usize>,
     /// The fitted scaler.
     pub scaler: Scaler,
     /// Auxiliary scaler for monthly order counts (train-fitted, frozen
@@ -246,8 +253,9 @@ pub struct Dataset {
     pub d_t: usize,
     /// Static feature width.
     pub d_s: usize,
-    /// Shop id splits.
-    pub splits: Splits,
+    /// Shop id splits, shared between a dataset and its refreshes until a
+    /// refresh appends shops.
+    pub splits: Arc<Splits>,
 }
 
 /// Width of the auxiliary temporal feature vector:
@@ -295,19 +303,22 @@ pub fn build_dataset(world: &World) -> Dataset {
     // pay it twice — once in the scaler fit and again in `normalize` when
     // the row is written. Unobserved cells stay 0.0 and are never read
     // (the fit and the normalisation pass both start at the first
-    // observed cell). Statics and raw targets go straight into the
-    // segments the dataset will share — no flat staging arena.
+    // observed cell). Statics, raw targets and observed lengths go
+    // straight into the segments the dataset will share — no flat staging
+    // arena.
     let window = fut_start - in_start;
     let d_s = cfg.n_industries + cfg.n_regions + 2;
     let layout = RowLayout { t, d_s, horizon };
     let mut segments: Vec<RowSegment> =
         (0..n.div_ceil(SEGMENT_ROWS)).map(|_| layout.empty_segment()).collect();
     let mut logs = vec![0.0f64; n * window * 3];
-    let mut observed_len = vec![0usize; n];
+    let observed = |segments: &[RowSegment], v: usize| {
+        segments[v / SEGMENT_ROWS].observed_len[v % SEGMENT_ROWS]
+    };
     for v in 0..n {
         let shop = &world.shops[v];
         let first = shop.opened.saturating_sub(in_start).min(window);
-        observed_len[v] = window - first;
+        let obs = window - first;
         for i in first..window {
             let m = in_start + i;
             let cell = (v * window + i) * 3;
@@ -316,12 +327,13 @@ pub fn build_dataset(world: &World) -> Dataset {
             logs[cell + 2] = log1p_pos(shop.customers[m]);
         }
         let row = segments[v / SEGMENT_ROWS].row_mut(layout, v % SEGMENT_ROWS);
+        *row.observed_len = obs;
         let stat = row.statics;
         stat[shop.industry as usize] = 1.0;
         stat[cfg.n_industries + shop.region as usize] = 1.0;
         stat[cfg.n_industries + cfg.n_regions] =
             if shop.role == Role::Supplier { 1.0 } else { 0.0 };
-        stat[cfg.n_industries + cfg.n_regions + 1] = observed_len[v].min(t) as f32 / t as f32;
+        stat[cfg.n_industries + cfg.n_regions + 1] = obs.min(t) as f32 / t as f32;
         for (h, m) in (fut_start..fut_start + horizon).enumerate() {
             row.targets_raw[h] = shop.gmv[m];
         }
@@ -340,21 +352,20 @@ pub fn build_dataset(world: &World) -> Dataset {
     let mut sums = [0.0f64; 3];
     let mut count = 0usize;
     for &v in &splits.train {
-        let first = window - observed_len[v];
-        for i in first..window {
+        let obs = observed(&segments, v);
+        for i in window - obs..window {
             let cell = (v * window + i) * 3;
             sums[0] += logs[cell];
             sums[1] += logs[cell + 1];
             sums[2] += logs[cell + 2];
         }
-        count += observed_len[v];
+        count += obs;
     }
     assert!(count > 0, "Scaler::fit on empty data");
     let means = sums.map(|s| s / count as f64);
     let mut var_sums = [0.0f64; 3];
     for &v in &splits.train {
-        let first = window - observed_len[v];
-        for i in first..window {
+        for i in window - observed(&segments, v)..window {
             let cell = (v * window + i) * 3;
             let (g, o, c) = (logs[cell], logs[cell + 1], logs[cell + 2]);
             var_sums[0] += (g - means[0]) * (g - means[0]);
@@ -375,8 +386,8 @@ pub fn build_dataset(world: &World) -> Dataset {
     // explicit zeros — `refresh_of_unmutated_world_is_identity` pins the
     // build path against the refresh path.
     for v in 0..n {
+        let first = window - observed(&segments, v);
         let row = segments[v / SEGMENT_ROWS].row_mut(layout, v % SEGMENT_ROWS);
-        let first = window - observed_len[v];
         for i in first..window {
             let cell = (v * window + i) * 3;
             row.series[i] = scaler.normalize_log(logs[cell]);
@@ -396,14 +407,13 @@ pub fn build_dataset(world: &World) -> Dataset {
         horizon,
         rows: segments.into_iter().map(Arc::new).collect(),
         trig,
-        observed_len,
         scaler,
         orders_scaler,
         customers_scaler,
         max_model_z: 0.0,
         d_t: D_TEMPORAL,
         d_s,
-        splits,
+        splits: Arc::new(splits),
     };
     ds.max_model_z = ds
         .splits
@@ -435,7 +445,6 @@ fn month_trig(cfg: &WorldConfig) -> Vec<(f32, f32)> {
 /// `refresh_of_unmutated_world_is_identity` test pins the two paths to
 /// bit-identical output. Every span element is overwritten (statics via
 /// an explicit fill), so stale refresh targets cannot leak through.
-/// Returns the observed window length.
 fn write_node_row(
     world: &World,
     v: usize,
@@ -443,7 +452,7 @@ fn write_node_row(
     orders_scaler: &Scaler,
     customers_scaler: &Scaler,
     out: RowMut<'_>,
-) -> usize {
+) {
     let cfg = &world.config;
     let t = cfg.input_window;
     let in_start = cfg.input_start();
@@ -465,12 +474,12 @@ fn write_node_row(
     let obs = (fut_start - in_start).saturating_sub(shop.opened.saturating_sub(in_start));
     let obs = obs.min(t);
     stat[cfg.n_industries + cfg.n_regions + 1] = obs as f32 / t as f32;
+    *out.observed_len = obs;
 
     for (h, m) in (fut_start..fut_start + cfg.horizon).enumerate() {
         out.targets_raw[h] = shop.gmv[m];
         out.targets_norm[h] = scaler.normalize_pos(shop.gmv[m]);
     }
-    obs
 }
 
 /// Refresh a dataset after world mutations, recomputing **only** the rows in
@@ -485,11 +494,12 @@ fn write_node_row(
 /// recomputed and join the test split: they were never seen in training.
 ///
 /// Copy-on-write: the result starts as an `Arc` bump of every segment of
-/// `prev`, and only the segments a recomputed row lands in are copied
-/// (`Arc::make_mut`) before the write — `prev` itself is never modified,
-/// and every other segment stays the same allocation in both datasets
-/// (observable through [`Dataset::segment_addr`]). Appended shops fill the
-/// last segment's spare rows, then new segments.
+/// `prev` and of its splits, and only the segments a recomputed row lands
+/// in are copied (`Arc::make_mut`) before the write — `prev` itself is
+/// never modified, and every other segment stays the same allocation in
+/// both datasets (observable through [`Dataset::segment_addr`]). Appended
+/// shops fill the last segment's spare rows, then new segments, and only
+/// then are the splits copied to take them.
 ///
 /// Because rows are pure per-node functions of `(world, frozen scalers)`,
 /// the result is bit-identical to [`refresh_dataset_full`] whenever `dirty`
@@ -502,16 +512,15 @@ pub fn refresh_dataset(world: &World, prev: &Dataset, dirty: &[u32]) -> Dataset 
     ds.n = n;
     let layout = ds.layout();
     ds.rows.resize_with(n.div_ceil(SEGMENT_ROWS), || Arc::new(layout.empty_segment()));
-    ds.observed_len.resize(n, 0);
-    for v in prev.n..n {
-        ds.splits.test.push(v);
+    if n > prev.n {
+        Arc::make_mut(&mut ds.splits).test.extend(prev.n..n);
     }
     let (scaler, orders_scaler, customers_scaler) =
         (ds.scaler, ds.orders_scaler, ds.customers_scaler);
     let recompute = dirty.iter().map(|&v| v as usize).filter(|&v| v < prev.n).chain(prev.n..n);
     for v in recompute {
         let seg = Arc::make_mut(&mut ds.rows[v / SEGMENT_ROWS]);
-        let obs = write_node_row(
+        write_node_row(
             world,
             v,
             &scaler,
@@ -519,7 +528,6 @@ pub fn refresh_dataset(world: &World, prev: &Dataset, dirty: &[u32]) -> Dataset 
             &customers_scaler,
             seg.row_mut(layout, v % SEGMENT_ROWS),
         );
-        ds.observed_len[v] = obs;
     }
     ds
 }
@@ -549,7 +557,7 @@ pub fn node_row_unchanged(a: &Dataset, b: &Dataset, v: usize) -> bool {
     // from `observed_len`, so comparing them covers all of `d_t`.
     a.row(v) == b.row(v)
         && a.targets_raw_row(v) == b.targets_raw_row(v)
-        && a.observed_len[v] == b.observed_len[v]
+        && a.observed_len(v) == b.observed_len(v)
 }
 
 impl Dataset {
@@ -587,6 +595,14 @@ impl Dataset {
         self.rows.get(seg).map(|arc| Arc::as_ptr(arc) as usize)
     }
 
+    /// Observed months inside shop `v`'s input window (`T` minus leading
+    /// zeros) — the Fig 3 grouping key.
+    #[inline]
+    pub fn observed_len(&self, v: usize) -> usize {
+        assert!(v < self.n, "shop {v} out of range (n = {})", self.n);
+        self.rows[v / SEGMENT_ROWS].observed_len[v % SEGMENT_ROWS]
+    }
+
     /// Normalised GMV input series of shop `v` (length `T`).
     #[inline]
     pub fn gmv_row(&self, v: usize) -> &[f32] {
@@ -614,8 +630,9 @@ impl Dataset {
     /// Temporal feature `k` of input-window row `row` for shop `v`.
     /// Columns 0/1 (month sin/cos) come from the shared trig table,
     /// columns 2/3 from the stored aux columns, and column 4 (observed
-    /// flag) from `observed_len` — observed months are always a suffix of
-    /// the input window, so `row` is observed iff `row ≥ T − observed`.
+    /// flag) from [`Dataset::observed_len`] — observed months are always a
+    /// suffix of the input window, so `row` is observed iff
+    /// `row ≥ T − observed`.
     #[inline]
     pub fn temporal_at(&self, v: usize, row: usize, k: usize) -> f32 {
         debug_assert!(row < self.t && k < self.d_t);
@@ -624,7 +641,7 @@ impl Dataset {
             1 => self.trig[row].1,
             2 | 3 => self.aux_row(v)[row * D_AUX + (k - 2)],
             _ => {
-                if row >= self.t - self.observed_len[v].min(self.t) {
+                if row >= self.t - self.observed_len(v).min(self.t) {
                     1.0
                 } else {
                     0.0
@@ -640,7 +657,7 @@ impl Dataset {
     /// temporal row per shop did not add a heap allocation to the hot path.
     pub fn write_temporal_row(&self, v: usize, out: &mut [f32]) {
         assert_eq!(out.len(), self.t * self.d_t);
-        let first = self.t - self.observed_len[v].min(self.t);
+        let first = self.t - self.observed_len(v).min(self.t);
         let aux = self.aux_row(v);
         for row in 0..self.t {
             let o = &mut out[row * D_TEMPORAL..(row + 1) * D_TEMPORAL];
@@ -679,8 +696,9 @@ impl Dataset {
     /// overhead (allocator header/rounding). Inline struct headers are
     /// counted as part of their parent block. The world-scale bench tracks
     /// this figure versus `n_shops`: three allocations per
-    /// [`SEGMENT_ROWS`]-shop segment (the `Arc` and its two blocks), plus
-    /// the flat `observed_len` and splits. Segments shared with another
+    /// [`SEGMENT_ROWS`]-shop segment (the `Arc`, which holds the inline
+    /// observed-length column, and its two blocks), plus the `Arc`'d
+    /// splits, counted once. Segments and splits shared with another
     /// dataset are counted in full — this is the store's footprint, not
     /// what a refresh copied.
     pub fn approx_heap_bytes(&self) -> usize {
@@ -691,15 +709,17 @@ impl Dataset {
         let segments: usize = self
             .rows
             .iter()
-            .map(|seg| OVH + vec_bytes(&seg.values) + vec_bytes(&seg.targets_raw))
+            .map(|seg| {
+                OVH + std::mem::size_of_val(&seg.observed_len)
+                    + vec_bytes(&seg.values)
+                    + vec_bytes(&seg.targets_raw)
+            })
             .sum();
-        vec_bytes(&self.rows)
-            + segments
-            + vec_bytes(&self.trig)
-            + vec_bytes(&self.observed_len)
+        let splits = OVH
             + vec_bytes(&self.splits.train)
             + vec_bytes(&self.splits.val)
-            + vec_bytes(&self.splits.test)
+            + vec_bytes(&self.splits.test);
+        vec_bytes(&self.rows) + segments + vec_bytes(&self.trig) + splits
     }
 
     /// Normalised-target tensor `[1, T']` for the loss.
@@ -725,7 +745,7 @@ impl Dataset {
         let mut new_group = Vec::new();
         let mut old_group = Vec::new();
         for &v in &self.splits.test {
-            if self.observed_len[v] < threshold {
+            if self.observed_len(v) < threshold {
                 new_group.push(v);
             } else {
                 old_group.push(v);
@@ -893,10 +913,10 @@ mod tests {
         let (_, ds) = dataset();
         let (new_g, old_g) = ds.new_old_groups(10);
         for &v in &new_g {
-            assert!(ds.observed_len[v] < 10);
+            assert!(ds.observed_len(v) < 10);
         }
         for &v in &old_g {
-            assert!(ds.observed_len[v] >= 10);
+            assert!(ds.observed_len(v) >= 10);
         }
         assert_eq!(new_g.len() + old_g.len(), ds.splits.test.len());
     }
@@ -911,7 +931,7 @@ mod tests {
             assert_eq!(ta, tb, "temporal row {v}");
             assert_eq!(a.statics_row(v), b.statics_row(v), "statics row {v}");
             assert_eq!(a.targets_norm_row(v), b.targets_norm_row(v), "targets row {v}");
-            assert_eq!(a.observed_len[v], b.observed_len[v], "observed_len row {v}");
+            assert_eq!(a.observed_len(v), b.observed_len(v), "observed_len row {v}");
         }
         assert_eq!(a.max_model_z, b.max_model_z);
         assert_eq!(a.splits.train, b.splits.train);
@@ -951,7 +971,7 @@ mod tests {
         let new_id = ds.n;
         assert_eq!(delta.n, ds.n + 1);
         assert!(delta.splits.test.contains(&new_id));
-        assert_eq!(delta.observed_len[new_id], 0);
+        assert_eq!(delta.observed_len(new_id), 0);
         assert!(delta.gmv_row(new_id).iter().all(|&z| z == 0.0));
         // Frozen statistics carried over from the pre-mutation build.
         assert_eq!(delta.scaler.mean, ds.scaler.mean);
@@ -1016,7 +1036,7 @@ mod tests {
             let f32s = ds.gmv_row(v).iter().chain(&trow).chain(ds.statics_row(v));
             out.extend(f32s.chain(ds.targets_norm_row(v)).map(|x| x.to_bits() as u64));
             out.extend(ds.targets_raw_row(v).iter().map(|x| x.to_bits()));
-            out.push(ds.observed_len[v] as u64);
+            out.push(ds.observed_len(v) as u64);
         }
         out
     }
@@ -1030,12 +1050,19 @@ mod tests {
     }
 
     /// Copy-on-write: refreshing (including growth and `gmv_row_mut` on the
-    /// result) never changes a bit of the dataset it was refreshed from.
+    /// result) never changes a bit of the dataset it was refreshed from —
+    /// the observed-length column included, which a young shop's fresh
+    /// full-history sales move in the refreshed dataset only.
     #[test]
     fn refresh_leaves_the_previous_dataset_bit_identical() {
-        use crate::mutate::NewShop;
+        use crate::mutate::{MonthlySales, NewShop};
         let (mut world, ds) = multi_segment();
         let before = snapshot_bits(&ds);
+        let young = (0..ds.n).find(|&v| ds.observed_len(v) < ds.t).expect("a young shop");
+        let history: Vec<MonthlySales> = (0..world.config.months)
+            .map(|i| MonthlySales { gmv: 3e4 + i as f64, orders: 50.0, customers: 40.0 })
+            .collect();
+        world.record_sales(young as u32, &history);
         bump_sales(&mut world, 7, 5e4);
         bump_sales(&mut world, 200, 6e4);
         world.add_shop(NewShop { industry: 0, region: 0, role: Role::Retailer, owner: 0, lead: 0 });
@@ -1043,7 +1070,33 @@ mod tests {
         let mut next = refresh_dataset(&world, &ds, dirty.nodes());
         next.gmv_row_mut(100)[0] = 123.0;
         assert_ne!(next.gmv_row(7), ds.gmv_row(7));
+        assert_eq!(next.observed_len(young), ds.t);
+        assert_eq!(next.observed_len(ds.n), 0);
         assert_eq!(snapshot_bits(&ds), before);
+    }
+
+    /// The splits are one shared allocation until a refresh appends shops:
+    /// then the refreshed dataset gets its own copy, and the dataset it was
+    /// refreshed from keeps its splits as they were.
+    #[test]
+    fn splits_are_shared_until_a_refresh_appends_shops() {
+        use crate::mutate::NewShop;
+        let (mut world, ds) = multi_segment();
+        bump_sales(&mut world, 7, 5e4);
+        let dirty = world.take_dirty();
+        let same = refresh_dataset(&world, &ds, dirty.nodes());
+        assert!(Arc::ptr_eq(&same.splits, &ds.splits), "a refresh without growth copied splits");
+        let test_before = ds.splits.test.clone();
+        world.add_shop(NewShop { industry: 0, region: 0, role: Role::Retailer, owner: 0, lead: 0 });
+        let dirty = world.take_dirty();
+        let grown = refresh_dataset(&world, &same, dirty.nodes());
+        assert!(!Arc::ptr_eq(&grown.splits, &same.splits), "growth must copy the splits");
+        assert_eq!(ds.splits.test, test_before);
+        assert_eq!(same.splits.test, test_before);
+        assert_eq!(grown.splits.test.len(), test_before.len() + 1);
+        assert_eq!(grown.splits.test.last(), Some(&ds.n));
+        assert_eq!(grown.splits.train, ds.splits.train);
+        assert_eq!(grown.splits.val, ds.splits.val);
     }
 
     /// A refresh reallocates exactly the segments its dirty rows land in;
@@ -1108,7 +1161,7 @@ mod tests {
         for v in 0..grown.n {
             assert_eq!(grown.statics_row(v), fresh.statics_row(v), "statics row {v}");
             assert_eq!(grown.targets_raw_row(v), fresh.targets_raw_row(v), "raw targets row {v}");
-            assert_eq!(grown.observed_len[v], fresh.observed_len[v], "observed_len row {v}");
+            assert_eq!(grown.observed_len(v), fresh.observed_len(v), "observed_len row {v}");
         }
         fresh.scaler = ds.scaler;
         fresh.orders_scaler = ds.orders_scaler;

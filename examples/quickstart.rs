@@ -41,7 +41,7 @@ fn main() {
     let preds = predict_nodes(&model, &ds, &world.graph, &shops, 7, 4);
     for p in preds {
         let actual = ds.targets_raw_row(p.node);
-        println!("\nshop {} (observed {} of {} months):", p.node, ds.observed_len[p.node], ds.t);
+        println!("\nshop {} (observed {} of {} months):", p.node, ds.observed_len(p.node), ds.t);
         for h in 0..ds.horizon {
             println!(
                 "  month +{}: predicted {:>12.0}  actual {:>12.0}",

@@ -61,7 +61,7 @@ fn main() {
         .copied()
         .filter(|&v| {
             world.shops[v].role == Role::Retailer
-                && ds.observed_len[v] < 8
+                && ds.observed_len(v) < 8
                 && world.graph.degree(v) >= 1
         })
         .take(5)
@@ -82,7 +82,7 @@ fn main() {
              actual {:>12.0} (ratio {:.2})",
             p.node,
             suppliers,
-            ds.observed_len[p.node],
+            ds.observed_len(p.node),
             predicted,
             actual,
             predicted / actual.max(1.0)

@@ -1017,7 +1017,7 @@ proptest! {
             let obs = (in_start..fut_start).filter(|&m| m >= shop.opened).count();
             stat[cfg.n_industries + cfg.n_regions + 1] = obs.min(t) as f32 / t as f32;
             prop_assert_eq!(bits(ds.statics_row(v)), bits(&stat), "static row {} drifted", v);
-            prop_assert_eq!(ds.observed_len[v], obs);
+            prop_assert_eq!(ds.observed_len(v), obs);
 
             for (h, m) in (fut_start..fut_start + cfg.horizon).enumerate() {
                 prop_assert_eq!(ds.targets_raw_row(v)[h].to_bits(), shop.gmv[m].to_bits());
