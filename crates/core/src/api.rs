@@ -5,6 +5,7 @@
 use gaia_graph::{EgoConfig, EgoSubgraph};
 use gaia_nn::ParamStore;
 use gaia_synth::Dataset;
+use gaia_tensor::claim::Claims;
 use gaia_tensor::{Graph, Tensor, VarId};
 use std::sync::Arc;
 
@@ -538,12 +539,7 @@ impl EmbedCache {
         if n > 0 {
             self.dims = Some(dims);
         }
-        PageClaims {
-            runs: std::sync::Mutex::new(self.pages.chunks_mut(run_pages).enumerate()),
-            run_pages,
-            n,
-            dims,
-        }
+        PageClaims { runs: Claims::new(&mut self.pages, run_pages), run_pages, n, dims }
     }
 }
 
@@ -554,7 +550,7 @@ pub(crate) const PAGE_NODES: usize = SEGMENT_NODES * PAGE_SEGMENTS;
 /// The pages of a fresh full-publish table, handed out in index order to
 /// whichever worker asks next ([`EmbedCache::claim_pages`]).
 pub(crate) struct PageClaims<'a> {
-    runs: std::sync::Mutex<std::iter::Enumerate<std::slice::ChunksMut<'a, Arc<Page>>>>,
+    runs: Claims<'a, Arc<Page>>,
     run_pages: usize,
     n: usize,
     dims: (usize, usize),
@@ -563,7 +559,7 @@ pub(crate) struct PageClaims<'a> {
 impl<'a> PageClaims<'a> {
     /// The next unclaimed run of pages, or `None` once every page is taken.
     pub(crate) fn claim(&self) -> Option<PageRun<'a>> {
-        let (k, pages) = self.runs.lock().expect("page claim lock poisoned").next()?;
+        let (k, pages) = self.runs.claim()?;
         let start = k * self.run_pages * PAGE_NODES;
         let end = (start + pages.len() * PAGE_NODES).min(self.n);
         Some(PageRun { pages, nodes: start..end, dims: self.dims })

@@ -90,8 +90,7 @@ const CLAIM_PAGES: usize = 1;
 /// workers. Production publishes always use this count; only measurement
 /// code ([`Gaia::precompute_embeddings_profiled`]) picks its own.
 fn publish_workers(n: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    cores.min(n.div_ceil(crate::api::PAGE_NODES)).max(1)
+    gaia_tensor::claim::claim_workers(n.div_ceil(crate::api::PAGE_NODES))
 }
 
 /// Wall-clock split of a publish's blocks by stage, in seconds.
@@ -394,10 +393,7 @@ impl Gaia {
         let mut cache = EmbedCache::new();
         let claims = cache.claim_pages(ds.n, (self.cfg.t, self.cfg.channels), CLAIM_PAGES);
         let work = || self.publish_worker(ds, block, &claims, profile);
-        let reports: Vec<(f64, usize, PublishStageProfile)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-            handles.into_iter().map(|h| h.join().expect("publish worker panicked")).collect()
-        });
+        let reports = gaia_tensor::claim::spawn_workers(workers, work);
         let mut out =
             PublishProfile { wall_seconds: start.elapsed().as_secs_f64(), ..Default::default() };
         for (busy, pages, stages) in reports {

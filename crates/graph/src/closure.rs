@@ -20,36 +20,40 @@ use crate::graph::EsellerGraph;
 /// graph (`>= num_nodes`, e.g. recorded before a shop was added and then
 /// never materialised) are ignored rather than panicking so callers can pass
 /// a dirty set recorded against a newer world revision.
+///
+/// A breadth-first walk that appends each node to the output the moment it
+/// is first marked, so hop `h + 1`'s frontier is the output's tail after
+/// hop `h`. The output is sorted at the end: the cost is the closure's size
+/// and its edges, plus one zeroed `seen` flag per graph node, with no scan
+/// of those flags. A property test pins it against a plain BFS reference.
 pub fn dirty_closure(graph: &EsellerGraph, dirty: &[u32], radius: usize) -> Vec<u32> {
     let n = graph.num_nodes();
     let mut seen = vec![false; n];
-    let mut frontier: Vec<u32> = Vec::new();
+    let mut out: Vec<u32> = Vec::new();
     for &d in dirty {
         let d_us = d as usize;
         if d_us < n && !seen[d_us] {
             seen[d_us] = true;
-            frontier.push(d);
+            out.push(d);
         }
     }
-    let mut next: Vec<u32> = Vec::new();
+    let mut start = 0;
     for _hop in 0..radius {
-        if frontier.is_empty() {
+        let end = out.len();
+        if start == end {
             break;
         }
-        next.clear();
-        for &node in &frontier {
-            for nb in graph.neighbors(node as usize) {
+        for i in start..end {
+            for nb in graph.neighbors(out[i] as usize) {
                 let v = nb.node as usize;
                 if !seen[v] {
                     seen[v] = true;
-                    next.push(nb.node);
+                    out.push(nb.node);
                 }
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
+        start = end;
     }
-    let mut out: Vec<u32> =
-        seen.iter().enumerate().filter_map(|(i, &s)| s.then_some(i as u32)).collect();
     out.sort_unstable();
     out
 }

@@ -80,41 +80,81 @@ pub struct EsellerGraph {
 impl EsellerGraph {
     /// Build a CSR graph over `n` nodes from an edge list. Self-loops are
     /// dropped (the ITA-GCN adds the intra/self term explicitly) and exact
-    /// duplicates are deduplicated.
+    /// duplicates are deduplicated: the first occurrence of a directed
+    /// `(src, dst, ty)` is kept.
+    ///
+    /// Every kept edge stores a forward entry at `src` and a backward
+    /// entry at `dst`. Each node's entries are sorted by neighbour id, and
+    /// entries with the same neighbour keep edge-list order (ego sampling
+    /// reads that tie order).
+    ///
+    /// A counting build: count each node's entries, prefix-sum the
+    /// offsets, fill entries in edge order, stable-sort each node's slice
+    /// by neighbour, then compact. Deduplication is local to a node: among
+    /// its entries with one neighbour `w`, the first per `(outgoing, ty)`
+    /// is kept. Two entries at `u` with the same neighbour, direction and
+    /// type come from two copies of the same directed edge, so this drops
+    /// exactly the later copies' entries at both ends, and the kept
+    /// entries stay in edge-list order within each tie. A test-side
+    /// reference (first-occurrence hash dedup into per-node lists) pins
+    /// offsets, entries, `num_edges` and [`EsellerGraph::edges`] order.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut adj: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        // First-occurrence dedup on (src, dst, ty). Backward entries carry
-        // `outgoing: false`, so the old linear `adj[src].contains(&fwd)` scan
-        // could only ever match a previously-kept forward entry with the same
-        // destination and type — the set membership below is the same
-        // predicate in O(1) instead of O(degree) per edge.
-        let mut seen: std::collections::HashSet<(u32, u32, EdgeType)> =
-            std::collections::HashSet::with_capacity(edges.len());
-        let mut kept = 0usize;
+        let mut offsets = vec![0usize; n + 1];
         for e in edges {
             assert!(
                 (e.src as usize) < n && (e.dst as usize) < n,
                 "edge {e:?} out of range (n={n})"
             );
-            if e.src == e.dst {
-                continue;
+            if e.src != e.dst {
+                offsets[e.src as usize + 1] += 1;
+                offsets[e.dst as usize + 1] += 1;
             }
-            if !seen.insert((e.src, e.dst, e.ty)) {
-                continue;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let blank = Neighbor { node: 0, ty: EdgeType::SupplyChain, outgoing: false };
+        let mut entries = vec![blank; offsets[n]];
+        for e in edges.iter().filter(|e| e.src != e.dst) {
+            let (s, d) = (e.src as usize, e.dst as usize);
+            entries[cursor[s]] = Neighbor { node: e.dst, ty: e.ty, outgoing: true };
+            cursor[s] += 1;
+            entries[cursor[d]] = Neighbor { node: e.src, ty: e.ty, outgoing: false };
+            cursor[d] += 1;
+        }
+        // Sort and compact node by node; `kept` trails the read position,
+        // so each node's kept entries move left into place.
+        let mut kept = 0;
+        let mut edge_count = 0;
+        for v in 0..n {
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            offsets[v] = kept;
+            entries[lo..hi].sort_by_key(|nb| nb.node);
+            let mut run_node = u32::MAX;
+            let mut run_seen = 0u8;
+            for i in lo..hi {
+                let nb = entries[i];
+                if nb.node != run_node {
+                    run_node = nb.node;
+                    run_seen = 0;
+                }
+                let bit = 1u8 << (nb.ty.feature_index() * 2 + usize::from(nb.outgoing));
+                if run_seen & bit != 0 {
+                    continue;
+                }
+                run_seen |= bit;
+                entries[kept] = nb;
+                kept += 1;
+                edge_count += usize::from(nb.outgoing);
             }
-            adj[e.src as usize].push(Neighbor { node: e.dst, ty: e.ty, outgoing: true });
-            adj[e.dst as usize].push(Neighbor { node: e.src, ty: e.ty, outgoing: false });
-            kept += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut entries = Vec::new();
-        offsets.push(0);
-        for list in &mut adj {
-            list.sort_by_key(|nb| nb.node);
-            entries.extend_from_slice(list);
-            offsets.push(entries.len());
-        }
-        Self { n, offsets: Arc::new(offsets), entries: Arc::new(entries), edge_count: kept }
+        offsets[n] = kept;
+        entries.truncate(kept);
+        Self { n, offsets: Arc::new(offsets), entries: Arc::new(entries), edge_count }
     }
 
     /// Number of nodes.
@@ -249,14 +289,26 @@ mod tests {
     }
 
     #[test]
+    fn empty_and_single_node_graphs() {
+        let g = EsellerGraph::from_edges(0, &[]);
+        assert_eq!((g.num_nodes(), g.num_edges()), (0, 0));
+        assert_eq!(*g.offsets, vec![0]);
+        assert_eq!(g.edges().count(), 0);
+        let loop1 = Edge { src: 0, dst: 0, ty: EdgeType::SupplyChain };
+        let g = EsellerGraph::from_edges(1, &[loop1, loop1]);
+        assert_eq!((g.num_nodes(), g.num_edges(), g.degree(0)), (1, 0, 0));
+        assert_eq!(*g.offsets, vec![0, 0]);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         let _ = EsellerGraph::from_edges(2, &[Edge { src: 0, dst: 5, ty: EdgeType::SameOwner }]);
     }
 
     /// Reference construction using the original O(degree) linear-scan dedup
-    /// (`adj[src].contains(&fwd)`), kept verbatim so the hashed dedup in
-    /// `from_edges` is pinned against it.
+    /// (`adj[src].contains(&fwd)`), kept verbatim so the counting build's
+    /// node-local dedup in `from_edges` is pinned against it.
     fn from_edges_linear_scan(n: usize, edges: &[Edge]) -> EsellerGraph {
         let mut adj: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
         let mut kept = 0usize;

@@ -19,6 +19,7 @@
 
 use crate::config::WorldConfig;
 use crate::world::{month_of_year, Role, World};
+use gaia_tensor::claim::{claim_workers, for_each_claimed, Claims};
 use gaia_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -273,8 +274,59 @@ const D_AUX: usize = 2;
 /// here so every model starts as the mean predictor.
 pub const TARGET_SHIFT: f32 = 4.0;
 
+/// Feature segments per claimed run of [`build_dataset`]'s per-shop
+/// passes: 512 shops, a fraction of a millisecond of work.
+const BUILD_RUN_SEGMENTS: usize = 8;
+
 /// Build the dataset from a generated world.
+///
+/// Three passes. Pass A computes everything that needs no fitted scaler
+/// (the `ln` arena of every observed input cell, statics, raw targets,
+/// observed lengths); pass B fits the three scalers on the training
+/// shops; pass C writes the normalised columns. Passes A and C are
+/// per-shop independent, so they run over claimed runs of
+/// `BUILD_RUN_SEGMENTS` feature segments and their slices of the log
+/// arena, on as many workers as the host has cores (at most one per
+/// run). Pass B's shuffled-order `f64` folds and the `max_model_z` fold
+/// stay sequential, so the dataset is bit-identical for every worker
+/// count; a unit test pins every row, the scalers and `max_model_z`
+/// across worker counts. The caller allocates the segments and the
+/// arena; workers only fill them.
 pub fn build_dataset(world: &World) -> Dataset {
+    let runs = world.shops.len().div_ceil(SEGMENT_ROWS * BUILD_RUN_SEGMENTS);
+    build_dataset_with(world, claim_workers(runs))
+}
+
+/// Run `pass(first_shop, rows, segment, segment_logs)` over every feature
+/// segment and its slice of the log arena (`seg_cells` values per full
+/// segment), claimed in runs of [`BUILD_RUN_SEGMENTS`] by `workers`
+/// threads. `rows` is the number of shops the segment holds.
+fn for_each_segment(
+    segments: &mut [RowSegment],
+    logs: &mut [f64],
+    n: usize,
+    seg_cells: usize,
+    workers: usize,
+    pass: impl Fn(usize, usize, &mut RowSegment, &mut [f64]) + Sync,
+) {
+    let mut units: Vec<(&mut RowSegment, &mut [f64])> = Vec::with_capacity(segments.len());
+    let mut rest = logs;
+    for seg in segments.iter_mut() {
+        let (head, tail) = rest.split_at_mut(seg_cells.min(rest.len()));
+        units.push((seg, head));
+        rest = tail;
+    }
+    let claims = Claims::new(&mut units, BUILD_RUN_SEGMENTS);
+    for_each_claimed(&claims, workers, |k, run| {
+        for (j, (seg, logs)) in run.iter_mut().enumerate() {
+            let first = (k * BUILD_RUN_SEGMENTS + j) * SEGMENT_ROWS;
+            pass(first, SEGMENT_ROWS.min(n - first), seg, logs);
+        }
+    });
+}
+
+/// [`build_dataset`] on an explicit number of workers.
+fn build_dataset_with(world: &World, workers: usize) -> Dataset {
     let cfg = &world.config;
     let n = world.shops.len();
     let t = cfg.input_window;
@@ -294,50 +346,50 @@ pub fn build_dataset(world: &World) -> Dataset {
         test: ids[n_train + n_val..].to_vec(),
     };
 
-    // Pass A — one sequential walk over the shops computes everything that
-    // does not need the fitted scalers: the log-domain input window of
-    // every shop (one interleaved `[N·T·3]` arena: gmv, orders, customers
-    // per cell), the static feature rows, the raw currency targets and
-    // the observed window lengths. `ln` dominates the build at world
-    // scale, and without the log arena each observed training cell would
-    // pay it twice — once in the scaler fit and again in `normalize` when
-    // the row is written. Unobserved cells stay 0.0 and are never read
-    // (the fit and the normalisation pass both start at the first
-    // observed cell). Statics, raw targets and observed lengths go
-    // straight into the segments the dataset will share — no flat staging
-    // arena.
+    // Pass A — everything that does not need the fitted scalers: the
+    // log-domain input window of every shop (one interleaved `[N·T·3]`
+    // arena: gmv, orders, customers per cell), the static feature rows,
+    // the raw currency targets and the observed window lengths. `ln`
+    // dominates the build at world scale, and without the log arena each
+    // observed training cell would pay it twice — once in the scaler fit
+    // and again in `normalize` when the row is written. Unobserved cells
+    // stay 0.0 and are never read (the fit and the normalisation pass
+    // both start at the first observed cell). Statics, raw targets and
+    // observed lengths go straight into the segments the dataset will
+    // share — no flat staging arena.
     let window = fut_start - in_start;
+    let cells = window * 3;
     let d_s = cfg.n_industries + cfg.n_regions + 2;
     let layout = RowLayout { t, d_s, horizon };
     let mut segments: Vec<RowSegment> =
         (0..n.div_ceil(SEGMENT_ROWS)).map(|_| layout.empty_segment()).collect();
-    let mut logs = vec![0.0f64; n * window * 3];
-    let observed = |segments: &[RowSegment], v: usize| {
-        segments[v / SEGMENT_ROWS].observed_len[v % SEGMENT_ROWS]
-    };
-    for v in 0..n {
-        let shop = &world.shops[v];
-        let first = shop.opened.saturating_sub(in_start).min(window);
-        let obs = window - first;
-        for i in first..window {
-            let m = in_start + i;
-            let cell = (v * window + i) * 3;
-            logs[cell] = log1p_pos(shop.gmv[m]);
-            logs[cell + 1] = log1p_pos(shop.orders[m]);
-            logs[cell + 2] = log1p_pos(shop.customers[m]);
+    let mut logs = vec![0.0f64; n * cells];
+    let seg_cells = SEGMENT_ROWS * cells;
+    for_each_segment(&mut segments, &mut logs, n, seg_cells, workers, |first, rows, seg, logs| {
+        for off in 0..rows {
+            let shop = &world.shops[first + off];
+            let skip = shop.opened.saturating_sub(in_start).min(window);
+            let obs = window - skip;
+            let shop_logs = &mut logs[off * cells..(off + 1) * cells];
+            for i in skip..window {
+                let m = in_start + i;
+                shop_logs[i * 3] = log1p_pos(shop.gmv[m]);
+                shop_logs[i * 3 + 1] = log1p_pos(shop.orders[m]);
+                shop_logs[i * 3 + 2] = log1p_pos(shop.customers[m]);
+            }
+            let row = seg.row_mut(layout, off);
+            *row.observed_len = obs;
+            let stat = row.statics;
+            stat[shop.industry as usize] = 1.0;
+            stat[cfg.n_industries + shop.region as usize] = 1.0;
+            stat[cfg.n_industries + cfg.n_regions] =
+                if shop.role == Role::Supplier { 1.0 } else { 0.0 };
+            stat[cfg.n_industries + cfg.n_regions + 1] = obs.min(t) as f32 / t as f32;
+            for (h, m) in (fut_start..fut_start + horizon).enumerate() {
+                row.targets_raw[h] = shop.gmv[m];
+            }
         }
-        let row = segments[v / SEGMENT_ROWS].row_mut(layout, v % SEGMENT_ROWS);
-        *row.observed_len = obs;
-        let stat = row.statics;
-        stat[shop.industry as usize] = 1.0;
-        stat[cfg.n_industries + shop.region as usize] = 1.0;
-        stat[cfg.n_industries + cfg.n_regions] =
-            if shop.role == Role::Supplier { 1.0 } else { 0.0 };
-        stat[cfg.n_industries + cfg.n_regions + 1] = obs.min(t) as f32 / t as f32;
-        for (h, m) in (fut_start..fut_start + horizon).enumerate() {
-            row.targets_raw[h] = shop.gmv[m];
-        }
-    }
+    });
 
     // Pass B — scalers fitted on observed training cells of the input
     // window only: GMV plus the two auxiliary magnitudes, accumulated
@@ -348,29 +400,30 @@ pub fn build_dataset(world: &World) -> Dataset {
     // would see (same shuffled shop order, same in-window order, same
     // left-to-right f64 folds), so the scalers are bit-identical to three
     // independent iterator fits — `fused_arena_fit_matches_scaler_fit`
-    // pins this.
+    // pins this. The walks read each shop's observed length from one
+    // compact column instead of its segment, so a shuffled-order step
+    // touches the shop's arena row and little else.
+    let obs_of: Vec<u32> =
+        segments.iter().flat_map(|seg| seg.observed_len.iter().map(|&o| o as u32)).collect();
+    let observed_cells = |v: usize| &logs[v * cells..][(window - obs_of[v] as usize) * 3..cells];
     let mut sums = [0.0f64; 3];
     let mut count = 0usize;
     for &v in &splits.train {
-        let obs = observed(&segments, v);
-        for i in window - obs..window {
-            let cell = (v * window + i) * 3;
-            sums[0] += logs[cell];
-            sums[1] += logs[cell + 1];
-            sums[2] += logs[cell + 2];
+        for c in observed_cells(v).chunks_exact(3) {
+            sums[0] += c[0];
+            sums[1] += c[1];
+            sums[2] += c[2];
         }
-        count += obs;
+        count += obs_of[v] as usize;
     }
     assert!(count > 0, "Scaler::fit on empty data");
     let means = sums.map(|s| s / count as f64);
     let mut var_sums = [0.0f64; 3];
     for &v in &splits.train {
-        for i in window - observed(&segments, v)..window {
-            let cell = (v * window + i) * 3;
-            let (g, o, c) = (logs[cell], logs[cell + 1], logs[cell + 2]);
-            var_sums[0] += (g - means[0]) * (g - means[0]);
-            var_sums[1] += (o - means[1]) * (o - means[1]);
-            var_sums[2] += (c - means[2]) * (c - means[2]);
+        for c in observed_cells(v).chunks_exact(3) {
+            var_sums[0] += (c[0] - means[0]) * (c[0] - means[0]);
+            var_sums[1] += (c[1] - means[1]) * (c[1] - means[1]);
+            var_sums[2] += (c[2] - means[2]) * (c[2] - means[2]);
         }
     }
     let scaler = Scaler::from_moments(means[0], var_sums[0] / count as f64);
@@ -385,19 +438,21 @@ pub fn build_dataset(world: &World) -> Dataset {
     // cells keep their zero initialisation, matching `write_node_row`'s
     // explicit zeros — `refresh_of_unmutated_world_is_identity` pins the
     // build path against the refresh path.
-    for v in 0..n {
-        let first = window - observed(&segments, v);
-        let row = segments[v / SEGMENT_ROWS].row_mut(layout, v % SEGMENT_ROWS);
-        for i in first..window {
-            let cell = (v * window + i) * 3;
-            row.series[i] = scaler.normalize_log(logs[cell]);
-            row.aux[i * D_AUX] = orders_scaler.normalize_log(logs[cell + 1]);
-            row.aux[i * D_AUX + 1] = customers_scaler.normalize_log(logs[cell + 2]);
+    for_each_segment(&mut segments, &mut logs, n, seg_cells, workers, |_, rows, seg, logs| {
+        for off in 0..rows {
+            let skip = window - seg.observed_len[off];
+            let row = seg.row_mut(layout, off);
+            let shop_logs = &logs[off * cells..(off + 1) * cells];
+            for i in skip..window {
+                row.series[i] = scaler.normalize_log(shop_logs[i * 3]);
+                row.aux[i * D_AUX] = orders_scaler.normalize_log(shop_logs[i * 3 + 1]);
+                row.aux[i * D_AUX + 1] = customers_scaler.normalize_log(shop_logs[i * 3 + 2]);
+            }
+            for h in 0..horizon {
+                row.targets_norm[h] = scaler.normalize_pos(row.targets_raw[h]);
+            }
         }
-        for h in 0..horizon {
-            row.targets_norm[h] = scaler.normalize_pos(row.targets_raw[h]);
-        }
-    }
+    });
     drop(logs);
     let trig = month_trig(cfg);
 
@@ -1174,6 +1229,30 @@ mod tests {
             fresh.write_temporal_row(v, &mut b);
             assert_eq!(a, b, "temporal row {v}");
             assert_eq!(grown.targets_norm_row(v), fresh.targets_norm_row(v), "targets row {v}");
+        }
+    }
+
+    /// COLD-START INVARIANCE — passes A and C run over claimed runs of
+    /// segments, so the worker count must not move a bit: every row (all
+    /// accessor-visible values, raw targets and observed lengths), the
+    /// three scalers and `max_model_z`, on a world of several runs with a
+    /// partial tail segment.
+    #[test]
+    fn build_dataset_is_bit_identical_for_every_worker_count() {
+        let n_shops = 3 * BUILD_RUN_SEGMENTS * SEGMENT_ROWS + 70;
+        let world = World::generate(WorldConfig { n_shops, ..WorldConfig::default() });
+        let scaler_bits = |ds: &Dataset| {
+            [ds.scaler, ds.orders_scaler, ds.customers_scaler]
+                .map(|s| (s.mean.to_bits(), s.std.to_bits()))
+        };
+        let one = build_dataset_with(&world, 1);
+        for (workers, ds) in
+            (2..=4).map(|w| (w, build_dataset_with(&world, w))).chain([(0, build_dataset(&world))])
+        {
+            assert_eq!(snapshot_bits(&ds), snapshot_bits(&one), "rows, workers {workers}");
+            assert_eq!(scaler_bits(&ds), scaler_bits(&one), "scalers, workers {workers}");
+            assert_eq!(ds.max_model_z.to_bits(), one.max_model_z.to_bits(), "workers {workers}");
+            assert_eq!(ds.splits.train, one.splits.train);
         }
     }
 

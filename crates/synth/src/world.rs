@@ -19,9 +19,10 @@
 use crate::config::WorldConfig;
 use crate::mutate::DirtySet;
 use gaia_graph::{Edge, EdgeType, EsellerGraph};
+use gaia_tensor::claim::{for_each_claimed, Claims};
 use gaia_tensor::gauss;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Role of a shop in supply chains.
@@ -108,9 +109,48 @@ fn festival_boost(month: usize) -> f64 {
     }
 }
 
+/// Shops per claimed run of the GMV synthesis (see [`World::generate`]):
+/// a few milliseconds of work per run, so the workers finish within one
+/// run of each other at 10k shops and up.
+const SYNTH_RUN: usize = 512;
+
 impl World {
     /// Generate a world deterministically from its configuration.
+    ///
+    /// The world is a pure function of `config`: every draw comes from one
+    /// `StdRng` stream seeded with `config.seed`, in a fixed order
+    /// (industry factors, shop assignments, owner clusters, ages, per-shop
+    /// GMV series, then edges), and the result is bit-identical however
+    /// many cores the host has.
+    ///
+    /// The per-shop GMV series, most of the cost, are synthesised in
+    /// parallel by stream replay. Every draw of the stream is exactly one
+    /// `next_u64` (`gauss` always takes two: its `u1 >= f32::EPSILON`
+    /// keeps `z` finite), so shop `v` consumes exactly
+    /// `5 + 4·(months − opened[v])` draws. The caller walks the shops once,
+    /// saves the stream state at the start of each run of [`SYNTH_RUN`]
+    /// shops and advances it by the run's draw count with bare `next_u64`
+    /// calls; workers then claim runs and fill them from the saved states.
+    /// The stream leaves the pass in the state the sequential loop would
+    /// leave it, so edge generation draws the same values. The caller
+    /// allocates all three series of every shop; workers allocate nothing,
+    /// and a world of one run synthesises inline. A test-side sequential
+    /// reference pins the series bits, every shop field, the links, the
+    /// CSR and the stream state after synthesis for several worker counts.
     pub fn generate(config: WorldConfig) -> World {
+        let workers = gaia_tensor::claim::claim_workers(config.n_shops.div_ceil(SYNTH_RUN));
+        Self::generate_with(config, |rng, shops, inputs| {
+            synthesize_series(rng, shops, inputs, workers)
+        })
+    }
+
+    /// [`World::generate`] with the GMV series synthesis as a parameter:
+    /// `synthesize` receives the stream right after the ages are drawn and
+    /// every shop with its fields set and its series zeroed.
+    fn generate_with(
+        config: WorldConfig,
+        synthesize: impl FnOnce(&mut StdRng, &mut [Shop], &SeriesInputs<'_>),
+    ) -> World {
         config.validate().expect("invalid WorldConfig");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = config.n_shops;
@@ -196,54 +236,25 @@ impl World {
             .collect();
 
         // --- GMV synthesis --------------------------------------------------
-        let mut shops: Vec<Shop> = Vec::with_capacity(n);
-        for v in 0..n {
-            let (industry, region, role, lead) = shops_meta[v];
-            let base = config.base_gmv * (gauss(&mut rng) as f64 * config.base_sigma).exp();
-            let of = &owner_factor[owner_of[v] as usize];
-            // Per-shop seasonal phase: mostly aligned with the industry but
-            // with small jitter, amplitude scaled by config.
-            let season_phase = industries[industry as usize].phase + rng.gen_range(-1.0..1.0);
-            let season_amp = config.seasonal_amplitude * rng.gen_range(0.5..1.5);
-            let avg_ticket = rng.gen_range(50.0..500.0);
-            let mut gmv = vec![0.0f64; months];
-            let mut orders = vec![0.0f64; months];
-            let mut customers = vec![0.0f64; months];
-            for t in opened[v]..months {
-                // Suppliers see market demand `lead` months early: retailers
-                // stock up before they sell, so every demand-driven component
-                // (market, seasonality, festivals) is left-shifted for them.
-                let t_eff = t as f64 + lead as f64;
-                let market = config.market_amplitude * industries[industry as usize].value(t_eff);
-                let seasonal =
-                    season_amp * (std::f64::consts::TAU * (t_eff + season_phase) / 12.0).sin();
-                // Festivals hit retailers directly; suppliers feel them early
-                // (stocking orders) at reduced strength.
-                let festival = match role {
-                    Role::Retailer => festival_boost(t),
-                    Role::Supplier => 0.6 * festival_boost(t + lead),
-                };
-                let owner_term =
-                    config.owner_amplitude * of.festival_affinity * festival + of.base_mood;
-                let noise = gauss(&mut rng) as f64 * config.noise_std;
-                let g = base * (market + seasonal + owner_term + noise).exp();
-                gmv[t] = g.max(1.0);
-                let o = (g / avg_ticket).max(1.0);
-                orders[t] = o * rng.gen_range(0.9..1.1);
-                customers[t] = (o * rng.gen_range(0.5..0.9)).max(1.0);
-            }
-            shops.push(Shop {
-                gmv,
-                orders,
-                customers,
-                opened: opened[v],
-                industry,
-                region,
-                role,
-                owner: owner_of[v],
-                lead,
-            });
-        }
+        let mut shops: Vec<Shop> = (0..n)
+            .map(|v| {
+                let (industry, region, role, lead) = shops_meta[v];
+                Shop {
+                    gmv: vec![0.0; months],
+                    orders: vec![0.0; months],
+                    customers: vec![0.0; months],
+                    opened: opened[v],
+                    industry,
+                    region,
+                    role,
+                    owner: owner_of[v],
+                    lead,
+                }
+            })
+            .collect();
+        let inputs =
+            SeriesInputs { config: &config, industries: &industries, owners: &owner_factor };
+        synthesize(&mut rng, &mut shops, &inputs);
 
         // --- Edges -----------------------------------------------------------
         let mut edges: Vec<Edge> = Vec::new();
@@ -280,12 +291,23 @@ impl World {
         // Same owner / shareholder: clique within each owner cluster. The
         // clusters are walked in ascending owner id so the per-pair edge-type
         // draws land on the same pairs in every process.
-        let mut members: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for v in 0..n {
-            members.entry(shops[v].owner).or_default().push(v as u32);
+        // Owner ids are dense (`0..owner_factor.len()`), so the clusters are
+        // counting-sorted into one flat member list, ascending owner id
+        // then ascending shop id.
+        let mut owner_start = vec![0usize; owner_factor.len() + 1];
+        for shop in &shops {
+            owner_start[shop.owner as usize + 1] += 1;
         }
-        for group in members.values() {
+        for o in 0..owner_factor.len() {
+            owner_start[o + 1] += owner_start[o];
+        }
+        let mut members = vec![0u32; n];
+        let mut fill = owner_start.clone();
+        for (v, shop) in shops.iter().enumerate() {
+            members[fill[shop.owner as usize]] = v as u32;
+            fill[shop.owner as usize] += 1;
+        }
+        for group in owner_start.windows(2).map(|w| &members[w[0]..w[1]]) {
             for a in 0..group.len() {
                 for b in (a + 1)..group.len() {
                     let ty = if rng.gen_bool(config.shareholder_prob) {
@@ -346,6 +368,98 @@ impl IndustryFactor {
         let annual = (std::f64::consts::TAU * (t + self.phase) / 12.0).sin();
         let wobble = 0.4 * (self.wobble_freq * t + self.wobble_phase).sin();
         annual + wobble + self.trend * t
+    }
+}
+
+/// What a shop's GMV series synthesis reads besides the shop itself.
+struct SeriesInputs<'a> {
+    config: &'a WorldConfig,
+    industries: &'a [IndustryFactor],
+    owners: &'a [OwnerFactor],
+}
+
+/// Stream draws one shop's series synthesis takes ([`fill_series`]): five
+/// per shop (`gauss` for the base takes two, then phase, amplitude and
+/// ticket) and four per observed month (`gauss` noise, orders, customers).
+fn series_draws(shop: &Shop, months: usize) -> usize {
+    5 + 4 * months.saturating_sub(shop.opened)
+}
+
+/// Fill every shop's GMV, order and customer series from `rng` by stream
+/// replay over claimed runs of [`SYNTH_RUN`] shops on `workers` threads
+/// (see [`World::generate`]). Leaves `rng` where a sequential walk would.
+fn synthesize_series(
+    rng: &mut StdRng,
+    shops: &mut [Shop],
+    inputs: &SeriesInputs<'_>,
+    workers: usize,
+) {
+    let months = inputs.config.months;
+    // `market[i][k]` is industry `i`'s scaled market factor at month `k`.
+    // A supplier reads it at `t + lead`: the same integer-valued `f64`
+    // argument as `t as f64 + lead as f64`, so the same bits.
+    let width = months + shops.iter().map(|s| s.lead).max().unwrap_or(0);
+    let market: Vec<f64> = inputs
+        .industries
+        .iter()
+        .flat_map(|ind| (0..width).map(|k| inputs.config.market_amplitude * ind.value(k as f64)))
+        .collect();
+    let mut starts: Vec<StdRng> = Vec::with_capacity(shops.len().div_ceil(SYNTH_RUN));
+    for run in shops.chunks(SYNTH_RUN) {
+        starts.push(rng.clone());
+        for _ in 0..run.iter().map(|shop| series_draws(shop, months)).sum::<usize>() {
+            rng.next_u64();
+        }
+    }
+    let end = rng.clone();
+    let claims = Claims::new(shops, SYNTH_RUN);
+    for_each_claimed(&claims, workers, |k, run| {
+        let mut r = starts[k].clone();
+        for shop in run {
+            let row = &market[shop.industry as usize * width..][..width];
+            fill_series(shop, &mut r, inputs, row);
+        }
+        debug_assert_eq!(
+            r.next_u64(),
+            starts.get(k + 1).unwrap_or(&end).clone().next_u64(),
+            "run {k} took other than its counted draws"
+        );
+    });
+}
+
+/// Synthesise one shop's three series from `rng`, taking exactly
+/// [`series_draws`] draws. `market` is the shop's industry row of the
+/// scaled market-factor table.
+fn fill_series(shop: &mut Shop, rng: &mut StdRng, inputs: &SeriesInputs<'_>, market: &[f64]) {
+    let config = inputs.config;
+    let base = config.base_gmv * (gauss(rng) as f64 * config.base_sigma).exp();
+    let of = &inputs.owners[shop.owner as usize];
+    // Per-shop seasonal phase: mostly aligned with the industry but with
+    // small jitter, amplitude scaled by config.
+    let season_phase = inputs.industries[shop.industry as usize].phase + rng.gen_range(-1.0..1.0);
+    let season_amp = config.seasonal_amplitude * rng.gen_range(0.5..1.5);
+    let avg_ticket = rng.gen_range(50.0..500.0);
+    let lead = shop.lead;
+    for t in shop.opened..config.months {
+        // Suppliers see market demand `lead` months early: retailers stock
+        // up before they sell, so every demand-driven component (market,
+        // seasonality, festivals) is left-shifted for them.
+        let t_eff = t as f64 + lead as f64;
+        let market = market[t + lead];
+        let seasonal = season_amp * (std::f64::consts::TAU * (t_eff + season_phase) / 12.0).sin();
+        // Festivals hit retailers directly; suppliers feel them early
+        // (stocking orders) at reduced strength.
+        let festival = match shop.role {
+            Role::Retailer => festival_boost(t),
+            Role::Supplier => 0.6 * festival_boost(t + lead),
+        };
+        let owner_term = config.owner_amplitude * of.festival_affinity * festival + of.base_mood;
+        let noise = gauss(rng) as f64 * config.noise_std;
+        let g = base * (market + seasonal + owner_term + noise).exp();
+        shop.gmv[t] = g.max(1.0);
+        let o = (g / avg_ticket).max(1.0);
+        shop.orders[t] = o * rng.gen_range(0.9..1.1);
+        shop.customers[t] = (o * rng.gen_range(0.5..0.9)).max(1.0);
     }
 }
 
@@ -693,6 +807,113 @@ mod tests {
                 let after_ref: Vec<u64> = (0..8).map(|_| rng_ref.gen()).collect();
                 assert_eq!(after_fast, after_ref, "RNG stream moved (seed {seed}, n {n})");
             }
+        }
+    }
+
+    /// The sequential GMV synthesis the stream replay replaced, kept as its
+    /// reference: one walk over the shops on the one stream, the market
+    /// factor evaluated per month.
+    fn synthesize_sequential(rng: &mut StdRng, shops: &mut [Shop], inputs: &SeriesInputs<'_>) {
+        let config = inputs.config;
+        let industries = inputs.industries;
+        for shop in shops.iter_mut() {
+            let (industry, role, lead) = (shop.industry, shop.role, shop.lead);
+            let base = config.base_gmv * (gauss(rng) as f64 * config.base_sigma).exp();
+            let of = &inputs.owners[shop.owner as usize];
+            let season_phase = industries[industry as usize].phase + rng.gen_range(-1.0..1.0);
+            let season_amp = config.seasonal_amplitude * rng.gen_range(0.5..1.5);
+            let avg_ticket = rng.gen_range(50.0..500.0);
+            for t in shop.opened..config.months {
+                let t_eff = t as f64 + lead as f64;
+                let market = config.market_amplitude * industries[industry as usize].value(t_eff);
+                let seasonal =
+                    season_amp * (std::f64::consts::TAU * (t_eff + season_phase) / 12.0).sin();
+                let festival = match role {
+                    Role::Retailer => festival_boost(t),
+                    Role::Supplier => 0.6 * festival_boost(t + lead),
+                };
+                let owner_term =
+                    config.owner_amplitude * of.festival_affinity * festival + of.base_mood;
+                let noise = gauss(rng) as f64 * config.noise_std;
+                let g = base * (market + seasonal + owner_term + noise).exp();
+                shop.gmv[t] = g.max(1.0);
+                let o = (g / avg_ticket).max(1.0);
+                shop.orders[t] = o * rng.gen_range(0.9..1.1);
+                shop.customers[t] = (o * rng.gen_range(0.5..0.9)).max(1.0);
+            }
+        }
+    }
+
+    /// Generate a world with `synthesize` and record the next eight
+    /// outputs of the stream right after synthesis.
+    fn generate_recording(
+        config: WorldConfig,
+        synthesize: impl FnOnce(&mut StdRng, &mut [Shop], &SeriesInputs<'_>),
+    ) -> (World, Vec<u64>) {
+        let mut after = Vec::new();
+        let world = World::generate_with(config, |rng, shops, inputs| {
+            synthesize(rng, shops, inputs);
+            let mut probe = rng.clone();
+            after = (0..8).map(|_| probe.next_u64()).collect();
+        });
+        (world, after)
+    }
+
+    /// Bit-for-bit world equality: every series bit, every shop field,
+    /// the ground-truth links and the CSR (entries per node, edge count
+    /// and edge order).
+    fn assert_worlds_identical(a: &World, b: &World, label: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(a.shops.len(), b.shops.len(), "{label}: shop count");
+        for (v, (x, y)) in a.shops.iter().zip(&b.shops).enumerate() {
+            assert_eq!(bits(&x.gmv), bits(&y.gmv), "{label}: gmv of shop {v}");
+            assert_eq!(bits(&x.orders), bits(&y.orders), "{label}: orders of shop {v}");
+            assert_eq!(bits(&x.customers), bits(&y.customers), "{label}: customers of shop {v}");
+            assert_eq!(
+                (x.opened, x.industry, x.region, x.role, x.owner, x.lead),
+                (y.opened, y.industry, y.region, y.role, y.owner, y.lead),
+                "{label}: fields of shop {v}"
+            );
+        }
+        let links = |w: &World| -> Vec<(u32, u32, usize)> {
+            w.true_supply_links.iter().map(|l| (l.supplier, l.retailer, l.lead)).collect()
+        };
+        assert_eq!(links(a), links(b), "{label}: supply links");
+        assert_eq!(a.graph.num_nodes(), b.graph.num_nodes(), "{label}: nodes");
+        assert_eq!(a.graph.num_edges(), b.graph.num_edges(), "{label}: edge count");
+        for v in 0..a.graph.num_nodes() {
+            assert_eq!(a.graph.neighbors(v), b.graph.neighbors(v), "{label}: CSR at node {v}");
+        }
+        assert!(a.graph.edges().eq(b.graph.edges()), "{label}: edge order");
+    }
+
+    /// COLD-START INVARIANCE — the stream-replay synthesis over claimed
+    /// runs builds the same world as the sequential walk, for every worker
+    /// count, at sizes around the run boundaries and on the tiny config,
+    /// and leaves the stream in the same state for the edge draws.
+    #[test]
+    fn claimed_synthesis_matches_sequential_reference() {
+        let mut configs = vec![WorldConfig::tiny()];
+        for seed in [0u64, 7, 42] {
+            for n_shops in [1, SYNTH_RUN - 1, SYNTH_RUN, SYNTH_RUN + 1, 2 * SYNTH_RUN + 1] {
+                configs.push(WorldConfig { n_shops, seed, ..WorldConfig::default() });
+            }
+        }
+        for config in configs {
+            let label = format!("seed {} n {}", config.seed, config.n_shops);
+            let (reference, ref_after) =
+                generate_recording(config.clone(), |rng, shops, inputs| {
+                    synthesize_sequential(rng, shops, inputs)
+                });
+            for workers in [1, 2, 3] {
+                let (world, after) = generate_recording(config.clone(), |rng, shops, inputs| {
+                    synthesize_series(rng, shops, inputs, workers)
+                });
+                let label = format!("{label} workers {workers}");
+                assert_worlds_identical(&world, &reference, &label);
+                assert_eq!(after, ref_after, "{label}: stream state after synthesis");
+            }
+            assert_worlds_identical(&World::generate(config), &reference, &label);
         }
     }
 

@@ -35,10 +35,14 @@
 //! * [`pool`] — the size-keyed [`TensorPool`] of recycled buffers.
 //! * [`autodiff`] — the tape; ops dispatch to `kernels` and draw outputs
 //!   from the tape-owned pool, so reset-reused tapes run allocation-free.
+//! * [`claim`] — claimed-run work sharing for the parallel passes that
+//!   fill a caller-allocated slice (full publish, world synthesis,
+//!   dataset build).
 
 #![warn(missing_docs)]
 
 pub mod autodiff;
+pub mod claim;
 pub mod kernels;
 pub mod linalg;
 pub mod pool;

@@ -4,7 +4,7 @@
 use gaia_core::half::{f16_to_f32, f32_to_f16};
 use gaia_core::trainer::{predict_batch_with, predict_one_with, InferenceScratch};
 use gaia_core::{Gaia, GaiaConfig, ProjSlot};
-use gaia_graph::{extract_ego, Edge, EdgeType, EgoConfig, EsellerGraph};
+use gaia_graph::{dirty_closure, extract_ego, Edge, EdgeType, EgoConfig, EsellerGraph, Neighbor};
 use gaia_serving::{ModelArtifact, ModelServer, ServeConfig};
 use gaia_synth::{
     build_dataset, generate_dataset, month_of_year, MonthlySales, NewShop, Role, Scaler, World,
@@ -111,6 +111,65 @@ fn apply_churn_op(world: &mut World, horizon: usize, kind: usize, arg: u64) {
 }
 
 /// Pick an activation from a sampled index (proptest-friendly enum choice).
+/// Edge type by index (`i % 3`).
+fn edge_type(i: usize) -> EdgeType {
+    [EdgeType::SupplyChain, EdgeType::SameOwner, EdgeType::SameShareholder][i % 3]
+}
+
+/// The hash-dedup CSR build that `EsellerGraph::from_edges` replaced by a
+/// counting build, kept as its reference: first-occurrence dedup of the
+/// directed `(src, dst, ty)` through a hash set into per-node lists, each
+/// stably sorted by neighbour. Returns the offsets, the entries and the
+/// number of kept edges.
+fn csr_hash_reference(n: usize, edges: &[Edge]) -> (Vec<usize>, Vec<Neighbor>, usize) {
+    let mut adj: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
+    let mut seen: std::collections::HashSet<(u32, u32, EdgeType)> =
+        std::collections::HashSet::with_capacity(edges.len());
+    let mut kept = 0usize;
+    for e in edges {
+        if e.src == e.dst || !seen.insert((e.src, e.dst, e.ty)) {
+            continue;
+        }
+        adj[e.src as usize].push(Neighbor { node: e.dst, ty: e.ty, outgoing: true });
+        adj[e.dst as usize].push(Neighbor { node: e.src, ty: e.ty, outgoing: false });
+        kept += 1;
+    }
+    let mut offsets = vec![0];
+    let mut entries = Vec::new();
+    for list in &mut adj {
+        list.sort_by_key(|nb| nb.node);
+        entries.extend_from_slice(list);
+        offsets.push(entries.len());
+    }
+    (offsets, entries, kept)
+}
+
+/// Plain breadth-first reference for `dirty_closure`: hop distances from
+/// every in-range dirty node, then every node within `radius`, ascending.
+fn closure_bfs_reference(graph: &EsellerGraph, dirty: &[u32], radius: usize) -> Vec<u32> {
+    let n = graph.num_nodes();
+    let mut dist = vec![usize::MAX; n];
+    let mut queue = std::collections::VecDeque::new();
+    for &d in dirty.iter().filter(|&&d| (d as usize) < n) {
+        if dist[d as usize] == usize::MAX {
+            dist[d as usize] = 0;
+            queue.push_back(d as usize);
+        }
+    }
+    while let Some(u) = queue.pop_front() {
+        if dist[u] == radius {
+            continue;
+        }
+        for nb in graph.neighbors(u) {
+            if dist[nb.node as usize] == usize::MAX {
+                dist[nb.node as usize] = dist[u] + 1;
+                queue.push_back(nb.node as usize);
+            }
+        }
+    }
+    (0..n as u32).filter(|&v| dist[v as usize] <= radius).collect()
+}
+
 fn activation_from_index(i: usize) -> Activation {
     match i % 4 {
         0 => Activation::Identity,
@@ -659,6 +718,76 @@ proptest! {
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), ego.nodes.len());
+    }
+
+    /// CSR PARITY — the counting build of `EsellerGraph::from_edges` equals
+    /// the hash-dedup reference: offsets, every entry (`node`, `ty`,
+    /// `outgoing`) in order, `num_edges` and the `edges()` order. Each
+    /// sampled edge may bring an exact duplicate, its reverse, the same
+    /// pair with another type or a self-loop along; tiny `n` (0 and 1
+    /// included) makes repeats and isolated nodes common.
+    #[test]
+    fn csr_counting_build_matches_hash_dedup_reference(
+        n in 0usize..10,
+        picks in prop::collection::vec((0usize..64, 0usize..64, 0usize..3, 0usize..6), 0..60),
+    ) {
+        let mut edges = Vec::new();
+        for &(a, b, ty, extra) in picks.iter().filter(|_| n > 0) {
+            let (a, b, ty) = ((a % n) as u32, (b % n) as u32, edge_type(ty));
+            edges.push(Edge { src: a, dst: b, ty });
+            match extra {
+                0 => edges.push(Edge { src: a, dst: b, ty }),
+                1 => edges.push(Edge { src: b, dst: a, ty }),
+                2 => edges.push(Edge { src: a, dst: b, ty: edge_type(ty.feature_index() + 1) }),
+                3 => edges.push(Edge { src: a, dst: a, ty }),
+                _ => {}
+            }
+        }
+        let graph = EsellerGraph::from_edges(n, &edges);
+        let (offsets, entries, kept) = csr_hash_reference(n, &edges);
+        let mut got_offsets = vec![0];
+        let mut got_entries = Vec::new();
+        for v in 0..n {
+            got_entries.extend_from_slice(graph.neighbors(v));
+            got_offsets.push(got_offsets[v] + graph.degree(v));
+        }
+        prop_assert_eq!(graph.num_nodes(), n);
+        prop_assert_eq!(got_offsets, offsets);
+        prop_assert_eq!(got_entries.len(), entries.len());
+        for (i, (g, r)) in got_entries.iter().zip(&entries).enumerate() {
+            prop_assert_eq!((g.node, g.ty, g.outgoing), (r.node, r.ty, r.outgoing), "entry {}", i);
+        }
+        prop_assert_eq!(graph.num_edges(), kept);
+        let reference_edges: Vec<Edge> = (0..n)
+            .flat_map(|v| {
+                entries[offsets[v]..offsets[v + 1]]
+                    .iter()
+                    .filter(|nb| nb.outgoing)
+                    .map(move |nb| Edge { src: v as u32, dst: nb.node, ty: nb.ty })
+            })
+            .collect();
+        prop_assert_eq!(graph.edges().collect::<Vec<_>>(), reference_edges);
+    }
+
+    /// CLOSURE PARITY — `dirty_closure` equals a plain BFS for radius
+    /// 0–3 on random graphs, with duplicate and out-of-range dirty ids.
+    #[test]
+    fn dirty_closure_matches_bfs_reference(
+        n in 0usize..30,
+        picks in prop::collection::vec((0usize..30, 0usize..30, 0usize..3), 0..60),
+        dirty in prop::collection::vec(0u32..40, 0..10),
+        radius in 0usize..4,
+    ) {
+        let edges: Vec<Edge> = picks
+            .iter()
+            .filter(|_| n > 0)
+            .map(|&(a, b, ty)| Edge { src: (a % n) as u32, dst: (b % n) as u32, ty: edge_type(ty) })
+            .collect();
+        let graph = EsellerGraph::from_edges(n, &edges);
+        prop_assert_eq!(
+            dirty_closure(&graph, &dirty, radius),
+            closure_bfs_reference(&graph, &dirty, radius)
+        );
     }
 
     /// auto_arima never panics and always emits finite forecasts, whatever
