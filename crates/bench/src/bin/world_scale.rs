@@ -27,12 +27,15 @@
 //! commit, alternating baseline and current runs to cancel machine-load
 //! drift.
 //!
+//! Every row publishes at the binary16 cache tier ([`CacheTier::F16`]),
+//! the intended configuration at world scale.
+//!
 //! Run from the repo root with `cargo run --release -p gaia-bench --bin
 //! world_scale`. Pass a shop count (e.g. `world_scale 1000`) to run a
 //! single smoke row and skip writing the JSON — the CI smoke mode.
 //! See `crates/bench/README.md` for the sweep protocol.
 
-use gaia_core::{Gaia, GaiaConfig};
+use gaia_core::{CacheTier, GaiaConfig};
 use gaia_graph::EgoConfig;
 use gaia_serving::{ModelArtifact, ModelServer};
 use gaia_synth::{build_dataset, Dataset, DirtySet, MonthlySales, World, WorldConfig};
@@ -44,7 +47,7 @@ struct Baseline {
     description: String,
     hardware_cores: usize,
     simd: bool,
-    /// Whether the half-precision shared-cache feature was compiled in.
+    /// Whether the published caches were stored at the binary16 tier.
     embed_f16: bool,
     /// One row per world size, ascending.
     runs: Vec<ScaleRun>,
@@ -132,22 +135,17 @@ fn best_of_5<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 }
 
 /// The serving model every row publishes: small (publish cost is dominated
-/// by per-node embedding precompute, which is what scales with `n_shops`)
-/// and untrained — publish latency does not depend on the trained weights.
-fn serving_model(ds: &Dataset) -> (GaiaConfig, ModelArtifact) {
+/// by per-node embedding precompute, which is what scales with `n_shops`),
+/// untrained — publish latency does not depend on the trained weights —
+/// and publishing at the f16 cache tier.
+fn serving_model(ds: &Dataset) -> ModelArtifact {
     let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
     cfg.channels = 8;
     cfg.kernel_groups = 2;
     cfg.layers = 1;
     cfg.ego = EgoConfig { hops: 1, fanout: 4 };
-    let model = Gaia::new(cfg.clone(), 7);
-    let artifact = ModelArtifact {
-        version: 1,
-        config: cfg.clone(),
-        checkpoint: model.checkpoint(),
-        final_train_loss: 0.0,
-    };
-    (cfg, artifact)
+    cfg.cache_tier = CacheTier::F16;
+    ModelArtifact::untrained(cfg, 7)
 }
 
 /// Rewrite recent history of `count` spread-out shops (deep enough to move
@@ -168,7 +166,8 @@ fn churn(world: &mut World, count: usize, horizon: usize) -> DirtySet {
     world.take_dirty()
 }
 
-fn run_one(n_shops: usize) -> ScaleRun {
+/// One row, plus the tier its published cache was stored at.
+fn run_one(n_shops: usize) -> (ScaleRun, CacheTier) {
     let wc = WorldConfig { n_shops, seed: 9, ..WorldConfig::default() };
     let start = Instant::now();
     let world = World::generate(wc);
@@ -179,8 +178,9 @@ fn run_one(n_shops: usize) -> ScaleRun {
     let graph_edges = world.graph.num_edges();
     let horizon = ds.horizon;
 
-    let (_cfg, artifact) = serving_model(&ds);
+    let artifact = serving_model(&ds);
     let server = ModelServer::new(&artifact, world.graph.clone(), ds, 42);
+    let tier = server.snapshot().embeddings.tier();
     let cache_heap_bytes = server.snapshot().embeddings.approx_heap_bytes();
 
     // Full republish: whole-world feature refresh + precompute, measured
@@ -203,12 +203,13 @@ fn run_one(n_shops: usize) -> ScaleRun {
         .unwrap_or_default();
     println!(
         "n={n_shops:>7}: world {world_gen_seconds:.2}s, dataset {dataset_build_seconds:.3}s \
-         ({:.1} MB), full publish {full_publish_seconds:.4}s ({:.1} MB cache){speedup_note}, \
+         ({:.1} MB), full publish {full_publish_seconds:.4}s \
+         ({:.1} MB {tier:?} cache){speedup_note}, \
          delta@1% {delta_publish_1pct_seconds:.4}s, {graph_edges} edges",
         dataset_heap_bytes as f64 / 1e6,
         cache_heap_bytes as f64 / 1e6,
     );
-    ScaleRun {
+    let run = ScaleRun {
         n_shops,
         world_gen_seconds,
         dataset_build_seconds,
@@ -219,7 +220,8 @@ fn run_one(n_shops: usize) -> ScaleRun {
         graph_edges,
         per_node_publish_frozen_seconds,
         batched_publish_speedup,
-    }
+    };
+    (run, tier)
 }
 
 fn main() {
@@ -231,8 +233,9 @@ fn main() {
         return;
     }
 
-    let runs: Vec<ScaleRun> =
-        [1_000usize, 10_000, 100_000, 1_000_000].into_iter().map(run_one).collect();
+    let (runs, tiers): (Vec<ScaleRun>, Vec<CacheTier>) =
+        [1_000usize, 10_000, 100_000, 1_000_000].into_iter().map(run_one).unzip();
+    let embed_f16 = tiers.iter().all(|&tier| tier == CacheTier::F16);
 
     let at_10k = runs.iter().find(|r| r.n_shops == 10_000).expect("10k row");
     let dataset_build_speedup_10k = BEFORE_10K.dataset_build_seconds / at_10k.dataset_build_seconds;
@@ -256,11 +259,11 @@ fn main() {
              holds the nested per-shop layout figures from before the \
              flat-arena refactor (simd={}, embed_f16={})",
             cfg!(feature = "simd"),
-            cfg!(feature = "embed-f16"),
+            embed_f16,
         ),
         hardware_cores: cores,
         simd: cfg!(feature = "simd"),
-        embed_f16: cfg!(feature = "embed-f16"),
+        embed_f16,
         runs,
         pre_refactor_10k: BEFORE_10K,
         dataset_build_speedup_10k,

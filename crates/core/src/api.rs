@@ -7,7 +7,11 @@ use gaia_nn::ParamStore;
 use gaia_synth::Dataset;
 use gaia_tensor::claim::Claims;
 use gaia_tensor::{Graph, Tensor, VarId};
+use std::ops::Range;
 use std::sync::Arc;
+
+use crate::config::CacheTier;
+use crate::half::{f16_to_f32, f32_to_f16};
 
 /// Slots of the per-node **layer-0 projection cache** (see
 /// [`EmbedCache::proj_vec`]): the CAU's Q/K/V conv projections and the
@@ -64,43 +68,11 @@ const PAGE_SEGMENTS: usize = 8;
 /// One copy-on-write page of the segment table.
 type Page = [Option<Arc<Segment>>; PAGE_SEGMENTS];
 
-/// Element type of the frozen cache blocks: raw `f32` by default, IEEE 754
-/// binary16 bits under the opt-in `embed-f16` feature (half the resident
-/// bytes, dequantised into pooled tape buffers on read).
-#[cfg(not(feature = "embed-f16"))]
-type CacheElem = f32;
-/// Element type of the frozen cache blocks (binary16 bits — see
-/// [`crate::half`]).
-#[cfg(feature = "embed-f16")]
-type CacheElem = u16;
-
-#[cfg(not(feature = "embed-f16"))]
-#[inline]
-fn encode_elem(x: f32) -> CacheElem {
-    x
-}
-#[cfg(feature = "embed-f16")]
-#[inline]
-fn encode_elem(x: f32) -> CacheElem {
-    crate::half::f32_to_f16(x)
-}
-
-#[cfg(not(feature = "embed-f16"))]
-#[inline]
-fn decode_elem(q: CacheElem) -> f32 {
-    q
-}
-#[cfg(feature = "embed-f16")]
-#[inline]
-fn decode_elem(q: CacheElem) -> f32 {
-    crate::half::f16_to_f32(q)
-}
-
 /// Elements one node occupies in a segment block for embedding dims
 /// `(t, c)`: embed `[T,C]`, Q/K/V `[T,C]` each, two gate projections
 /// `[T,1]` each, at the fixed offsets of [`slot_span`].
 #[inline]
-fn node_stride(t: usize, c: usize) -> usize {
+pub(crate) fn node_stride(t: usize, c: usize) -> usize {
     4 * t * c + 2 * t
 }
 
@@ -129,14 +101,30 @@ fn slot_span(t: usize, c: usize, slot: ProjSlot) -> (usize, usize, usize) {
 /// publish fills its table ([`EmbedCache::claim_pages`]).
 #[derive(Clone, Debug)]
 struct Segment {
-    data: Vec<CacheElem>,
+    data: Lanes,
     mask: u64,
 }
 
 impl Segment {
-    fn unfilled(stride: usize) -> Self {
-        Self { data: Vec::with_capacity(SEGMENT_NODES * stride), mask: 0 }
+    fn unfilled(tier: CacheTier, stride: usize) -> Self {
+        let cap = SEGMENT_NODES * stride;
+        let data = match tier {
+            CacheTier::F32 => Lanes::F32(Vec::with_capacity(cap)),
+            CacheTier::F16 => Lanes::F16(Vec::with_capacity(cap)),
+        };
+        Self { data, mask: 0 }
     }
+}
+
+/// A segment's block storage, in its [`CacheTier`]'s element type.
+/// Readers and writers match the tag once per lane or segment, then run a
+/// plain loop over the elements.
+#[derive(Clone, Debug)]
+enum Lanes {
+    /// Raw `f32` values.
+    F32(Vec<f32>),
+    /// IEEE 754 binary16 bits (see [`crate::half`]).
+    F16(Vec<u16>),
 }
 
 /// Stacked f32 payloads of one publish block for
@@ -168,8 +156,10 @@ pub struct BlockValues<'a> {
 ///   features and the model parameters, never on an ego subgraph, so a
 ///   publish computes them once ([`EmbedCache::insert_block`]) into
 ///   copy-on-write segments. Cloning a published cache bumps one `Arc`
-///   per page, so handing it to every serving worker is cheap. This is
-///   the only tier the `embed-f16` element type applies to.
+///   per page, so handing it to every serving worker is cheap. Its
+///   segments store the cache's [`CacheTier`]: a full publish takes it
+///   from [`crate::GaiaConfig::cache_tier`], a delta publish's clone
+///   inherits it, so every segment it rewrites or appends matches.
 /// * The **memo** holds f32 values a forward pass computed, keyed
 ///   `(layer, node)`: at layer 0 the embeddings and projections a cache
 ///   without a publish computed for itself, deeper the hidden states
@@ -201,12 +191,24 @@ pub struct EmbedCache {
     /// The memo, indexed by layer: `E_v` at layer 0, `H^l` of a
     /// centre-independent node deeper, each with its projections.
     memo: Vec<LayerMemo>,
+    /// Element storage of the segments this cache creates.
+    tier: CacheTier,
 }
 
 impl EmbedCache {
-    /// Empty cache.
+    /// Empty cache at the [`CacheTier::F32`] tier.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty cache whose frozen segments are stored at `tier`.
+    pub fn with_tier(tier: CacheTier) -> Self {
+        Self { tier, ..Self::default() }
+    }
+
+    /// Element storage of the frozen segments this cache writes.
+    pub fn tier(&self) -> CacheTier {
+        self.tier
     }
 
     /// Segment index covering `node`.
@@ -254,17 +256,25 @@ impl EmbedCache {
         self.segment(seg).map(|arc| Arc::as_ptr(arc) as usize)
     }
 
-    /// Flat element span of `node`'s frozen layer-`layer` value — its
-    /// projection `slot`, or its embedding for `None` — plus its
-    /// `[rows, cols]` shape, if present. The frozen tier holds layer 0
-    /// only.
+    /// Element storage of frozen segment `seg`, if populated.
+    pub fn segment_tier(&self, seg: usize) -> Option<CacheTier> {
+        self.segment(seg).map(|arc| match arc.data {
+            Lanes::F32(_) => CacheTier::F32,
+            Lanes::F16(_) => CacheTier::F16,
+        })
+    }
+
+    /// `node`'s frozen layer-`layer` value — its projection `slot`, or its
+    /// embedding for `None` — as its segment's tier-tagged storage and the
+    /// element range in it, plus its `[rows, cols]` shape, if present. The
+    /// frozen tier holds layer 0 only.
     #[inline]
     fn frozen_span(
         &self,
         layer: usize,
         node: usize,
         slot: Option<ProjSlot>,
-    ) -> Option<(&[CacheElem], usize, usize)> {
+    ) -> Option<(&Lanes, Range<usize>, usize, usize)> {
         if layer != 0 {
             return None;
         }
@@ -276,7 +286,7 @@ impl EmbedCache {
         }
         let (offset, rows, cols) = slot.map_or((0, t, c), |slot| slot_span(t, c, slot));
         let start = off * node_stride(t, c) + offset;
-        Some((&seg.data[start..start + rows * cols], rows, cols))
+        Some((&seg.data, start..start + rows * cols, rows, cols))
     }
 
     /// `node`'s memoised layer-`layer` value: its projection `slot`, or its
@@ -290,10 +300,11 @@ impl EmbedCache {
     }
 
     /// Enter `node`'s cached layer-`layer` value (projection `slot`, or the
-    /// state for `None`) on the tape as a pooled constant, if present: a
-    /// dequantising fill straight from the frozen block, else a pooled copy
-    /// of the memo entry — either way no staging allocation, so the
-    /// serving steady state stays zero-alloc.
+    /// state for `None`) on the tape as a pooled constant, if present:
+    /// straight from the frozen block, a slice copy on the f32 tier and a
+    /// dequantising fill on the f16 tier, else a pooled copy of the memo
+    /// entry — either way no staging allocation, so the serving steady
+    /// state stays zero-alloc.
     fn value_constant(
         &self,
         g: &mut Graph,
@@ -301,8 +312,15 @@ impl EmbedCache {
         node: usize,
         slot: Option<ProjSlot>,
     ) -> Option<VarId> {
-        if let Some((span, rows, cols)) = self.frozen_span(layer, node, slot) {
-            return Some(constant_from_span(g, span, rows, cols));
+        if let Some((lanes, span, rows, cols)) = self.frozen_span(layer, node, slot) {
+            return Some(match lanes {
+                Lanes::F32(data) => g.constant_slice(&[rows, cols], &data[span]),
+                Lanes::F16(data) => g.constant_fill(&[rows, cols], |buf| {
+                    for (d, &q) in buf.iter_mut().zip(&data[span]) {
+                        *d = f16_to_f32(q);
+                    }
+                }),
+            });
         }
         self.memo_value(layer, node, slot).map(|t| g.constant_from(t))
     }
@@ -311,8 +329,11 @@ impl EmbedCache {
     /// or the embedding for `None`), decoded from the frozen block when
     /// frozen.
     fn value_vec(&self, node: usize, slot: Option<ProjSlot>) -> Option<Vec<f32>> {
-        if let Some((span, ..)) = self.frozen_span(0, node, slot) {
-            return Some(span.iter().map(|&q| decode_elem(q)).collect());
+        if let Some((lanes, span, ..)) = self.frozen_span(0, node, slot) {
+            return Some(match lanes {
+                Lanes::F32(data) => data[span].to_vec(),
+                Lanes::F16(data) => data[span].iter().map(|&q| f16_to_f32(q)).collect(),
+            });
         }
         self.memo_value(0, node, slot).map(|t| t.data().to_vec())
     }
@@ -352,7 +373,7 @@ impl EmbedCache {
     /// Drop every cached value, frozen and memoised (required after a
     /// parameter, dataset or graph change). Also forgets the frozen dims,
     /// so a model with a different channel width can reuse the cache
-    /// object.
+    /// object; the tier stays.
     pub fn clear(&mut self) {
         self.pages.clear();
         self.segments = 0;
@@ -438,9 +459,10 @@ impl EmbedCache {
     /// `capacity × element size` plus a 16-byte per-allocation overhead,
     /// inline headers counted as part of their parent block. The frozen
     /// tier is one contiguous block per segment (two allocations with the
-    /// `Arc`) plus one small page allocation per `PAGE_SEGMENTS`
-    /// segments, so the world-scale bench sees per-node cost collapse to
-    /// the element payload itself.
+    /// `Arc`), counted at that segment's own element width, plus one
+    /// small page allocation per `PAGE_SEGMENTS` segments, so the
+    /// world-scale bench sees per-node cost collapse to the element
+    /// payload itself.
     pub fn approx_heap_bytes(&self) -> usize {
         const OVH: usize = 16;
         fn tensor_bytes(t: &Tensor) -> usize {
@@ -450,7 +472,11 @@ impl EmbedCache {
         bytes += self.pages.len() * (std::mem::size_of::<Page>() + 2 * 8 + OVH);
         for seg in self.frozen_segments() {
             bytes += OVH; // the Arc allocation (header + inline Segment)
-            bytes += seg.data.capacity() * std::mem::size_of::<CacheElem>() + OVH;
+            bytes += OVH
+                + match &seg.data {
+                    Lanes::F32(data) => data.capacity() * std::mem::size_of::<f32>(),
+                    Lanes::F16(data) => data.capacity() * std::mem::size_of::<u16>(),
+                };
         }
         for memo in &self.memo {
             for t in memo.states.values() {
@@ -502,10 +528,12 @@ impl EmbedCache {
         if let Some(&max) = nodes.last() {
             self.grow_to(Self::segment_of(max) + 1);
         }
+        let (tier, stride) = (self.tier, node_stride(t, c));
         let mut i = 0;
         while i < nodes.len() {
             let slot = self.segment_slot_mut(Self::segment_of(nodes[i]));
-            i = write_segment(slot, nodes, i, t, c, vals);
+            let seg = slot.get_or_insert_with(|| Arc::new(Segment::unfilled(tier, stride)));
+            i = write_segment(seg, nodes, i, t, c, vals);
         }
     }
 
@@ -517,8 +545,9 @@ impl EmbedCache {
     /// afterwards. `dims` are the embedding dims `(T, C)` every block
     /// inserted through a run must have.
     ///
-    /// Every segment's storage is allocated here, on the calling thread,
-    /// and left unwritten (unfilled): workers only fill it. So the whole
+    /// Every segment's storage is allocated here, at the cache's tier, on
+    /// the calling thread, and left unwritten (unfilled): workers only
+    /// fill it. So the whole
     /// table comes from the caller's allocator arena however the claims
     /// fall, and a republish reuses the storage its predecessors freed,
     /// instead of each worker's arena growing to the largest share it was
@@ -533,8 +562,9 @@ impl EmbedCache {
         assert!(run_pages > 0, "claim_pages: runs must hold a page");
         self.grow_to(n.div_ceil(SEGMENT_NODES));
         let stride = node_stride(dims.0, dims.1);
+        let tier = self.tier;
         for seg in 0..self.segments {
-            *self.segment_slot_mut(seg) = Some(Arc::new(Segment::unfilled(stride)));
+            *self.segment_slot_mut(seg) = Some(Arc::new(Segment::unfilled(tier, stride)));
         }
         if n > 0 {
             self.dims = Some(dims);
@@ -618,7 +648,9 @@ impl BlockSink for PageRun<'_> {
             let seg = EmbedCache::segment_of(nodes[i] - self.nodes.start);
             let page = Arc::get_mut(&mut self.pages[seg / PAGE_SEGMENTS])
                 .expect("a claimed page is never shared");
-            i = write_segment(&mut page[seg % PAGE_SEGMENTS], nodes, i, t, c, vals);
+            let seg =
+                page[seg % PAGE_SEGMENTS].as_mut().expect("claim_pages allocates every segment");
+            i = write_segment(seg, nodes, i, t, c, vals);
         }
     }
 }
@@ -637,14 +669,12 @@ fn check_block(nodes: &[usize], t: usize, c: usize, vals: &BlockValues<'_>) {
 }
 
 /// Write the block members `nodes[i..]` that share `nodes[i]`'s segment
-/// into that segment's `slot` and return the index of the first member
-/// past it. A member's six lanes sit at [`slot_span`] offsets behind its
-/// embedding. An empty slot gets a new segment; an unfilled segment is
-/// zero-filled on its first write, by the worker that writes it; a
-/// segment still shared with another epoch is cloned (copy-on-write).
-/// The members are then written in place.
+/// into that segment and return the index of the first member past it. A
+/// segment still shared with another epoch is cloned first
+/// (copy-on-write); the members are then written in place, in the
+/// segment's own element type.
 fn write_segment(
-    slot: &mut Option<Arc<Segment>>,
+    arc: &mut Arc<Segment>,
     nodes: &[usize],
     i: usize,
     t: usize,
@@ -653,57 +683,57 @@ fn write_segment(
 ) -> usize {
     let seg_idx = EmbedCache::segment_of(nodes[i]);
     let end = i + nodes[i..].partition_point(|&v| EmbedCache::segment_of(v) == seg_idx);
+    let Segment { data, mask } = Arc::make_mut(arc);
+    let members = &nodes[i..end];
+    *mask |= match data {
+        Lanes::F32(data) => write_members(data, members, i, t, c, vals, |x| x),
+        Lanes::F16(data) => write_members(data, members, i, t, c, vals, f32_to_f16),
+    };
+    end
+}
+
+/// Encode block members `members` (payload rows `first..`) into one
+/// segment's storage and return their presence bits. An unfilled segment
+/// is zero-filled on its first write, by the worker that writes it. A
+/// member's six lanes sit at [`slot_span`] offsets behind its embedding.
+fn write_members<E: Copy + Default>(
+    data: &mut Vec<E>,
+    members: &[usize],
+    first: usize,
+    t: usize,
+    c: usize,
+    vals: &BlockValues<'_>,
+    encode: impl Fn(f32) -> E,
+) -> u64 {
     let tc = t * c;
     let stride = node_stride(t, c);
     let len = SEGMENT_NODES * stride;
-    let arc = slot.get_or_insert_with(|| Arc::new(Segment::unfilled(stride)));
-    assert!(arc.data.is_empty() || arc.data.len() == len, "insert_block: stride mismatch");
-    let seg = Arc::make_mut(arc);
-    if seg.data.is_empty() {
-        seg.data.resize(len, Default::default());
+    assert!(data.is_empty() || data.len() == len, "insert_block: stride mismatch");
+    if data.is_empty() {
+        data.resize(len, E::default());
     }
-    for m in i..end {
-        let off = nodes[m] % SEGMENT_NODES;
+    let encode_into = |dst: &mut [E], src: &[f32]| {
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d = encode(x);
+        }
+    };
+    let mut present = 0;
+    for (m, &node) in (first..).zip(members) {
+        let off = node % SEGMENT_NODES;
         let block = off * stride;
-        encode_into(&mut seg.data[block..block + tc], &vals.embed[m * tc..(m + 1) * tc]);
+        encode_into(&mut data[block..block + tc], &vals.embed[m * tc..(m + 1) * tc]);
         for (lane, src) in [(ProjSlot::Q, vals.q), (ProjSlot::K, vals.k), (ProjSlot::V, vals.v)] {
             let start = block + slot_span(t, c, lane).0;
-            encode_into(&mut seg.data[start..start + tc], &src[m * tc..(m + 1) * tc]);
+            encode_into(&mut data[start..start + tc], &src[m * tc..(m + 1) * tc]);
         }
         for (lane, src) in [(ProjSlot::GateSrc, vals.gate_src), (ProjSlot::GateDst, vals.gate_dst)]
         {
             let start = block + slot_span(t, c, lane).0;
-            encode_into(&mut seg.data[start..start + t], &src[m * t..(m + 1) * t]);
+            encode_into(&mut data[start..start + t], &src[m * t..(m + 1) * t]);
         }
-        seg.mask |= 1 << off;
+        present |= 1 << off;
     }
-    end
-}
-
-/// Encode an f32 tensor payload into a frozen block span.
-#[inline]
-fn encode_into(dst: &mut [CacheElem], src: &[f32]) {
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d = encode_elem(x);
-    }
-}
-
-/// Enter a frozen element span on the tape as a pooled `[rows, cols]`
-/// constant: a straight pooled slice copy on the f32 tier, a dequantising
-/// [`Graph::constant_fill`] on the `embed-f16` tier.
-#[cfg(not(feature = "embed-f16"))]
-fn constant_from_span(g: &mut Graph, span: &[CacheElem], rows: usize, cols: usize) -> VarId {
-    g.constant_slice(&[rows, cols], span)
-}
-/// Enter a frozen element span on the tape as a pooled `[rows, cols]`
-/// constant (dequantising fill — see [`crate::half`]).
-#[cfg(feature = "embed-f16")]
-fn constant_from_span(g: &mut Graph, span: &[CacheElem], rows: usize, cols: usize) -> VarId {
-    g.constant_fill(&[rows, cols], |buf| {
-        for (d, &q) in buf.iter_mut().zip(span) {
-            *d = decode_elem(q);
-        }
-    })
+    present
 }
 
 /// A model that predicts a centre shop's future GMV from its ego subgraph.
@@ -851,15 +881,14 @@ mod tests {
 
     // Probe dims: T = 1, C = 2. Embeddings and Q/K/V are `[1, 2]`, the two
     // gate projections `[1, 1]`. Integer payloads stay ≤ 2048 so the values
-    // survive the `embed-f16` tier bit-exactly and the asserts hold on both
-    // element types.
+    // survive the f16 tier bit-exactly and the asserts hold on both tiers.
     fn probe(node: usize) -> Tensor {
         Tensor::from_vec(vec![1, 2], vec![node as f32, 1.0])
     }
 
     /// Stacked block payloads for `insert_block` over probe dims
     /// `T = 1, C = 2`: per-node values distinguishable across lanes, kept
-    /// integer-valued so they survive the `embed-f16` tier bit-exactly.
+    /// integer-valued so they survive the f16 tier bit-exactly.
     fn block_payload(
         nodes: &[usize],
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {

@@ -32,6 +32,42 @@ impl GaiaVariant {
     }
 }
 
+/// Element storage of the frozen cache a publish writes (see
+/// [`crate::EmbedCache`]); it never changes the model or its training.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CacheTier {
+    /// Raw `f32`: the forward pass's own bits.
+    #[default]
+    F32,
+    /// IEEE 754 binary16 bits ([`crate::half`]) at half the bytes: stored
+    /// in f16, dequantised into f32 tape buffers on read (Micikevicius et
+    /// al., *Mixed Precision Training*, ICLR 2018).
+    F16,
+}
+
+impl CacheTier {
+    /// Both tiers, for walls that run each.
+    pub const ALL: [CacheTier; 2] = [CacheTier::F32, CacheTier::F16];
+
+    /// Whether `got` matches `want` within the tier's serving budget, the
+    /// relative deviation a value served from this tier may show against
+    /// the uncached forward pass (`|g - w| ≤ budget · max(|w|, 1)`): `0`
+    /// (exact) for F32, `5e-3` for F16, whose `2^-11` half round-trip the
+    /// network amplifies. `floor` raises it for other kernels (`simd`).
+    pub fn within_budget(self, got: &[f32], want: &[f32], floor: f32) -> bool {
+        let budget = match self {
+            CacheTier::F32 => 0.0,
+            CacheTier::F16 => 5e-3,
+        };
+        let rel = floor.max(budget);
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(&g, &w)| g == w || (g - w).abs() <= rel * w.abs().max(1.0))
+    }
+}
+
 /// Model hyper-parameters. Defaults follow Section V-A3: embedding size 32,
 /// 2 stacked ITA-GCN layers.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -55,6 +91,9 @@ pub struct GaiaConfig {
     pub ego: EgoConfig,
     /// Architecture variant.
     pub variant: GaiaVariant,
+    /// Frozen cache tier of a full publish (a delta publish inherits the
+    /// previous cache's).
+    pub cache_tier: CacheTier,
 }
 
 impl GaiaConfig {
@@ -70,6 +109,7 @@ impl GaiaConfig {
             layers: 2,
             ego: EgoConfig { hops: 2, fanout: 6 },
             variant: GaiaVariant::Full,
+            cache_tier: CacheTier::F32,
         }
     }
 

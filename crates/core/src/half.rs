@@ -1,12 +1,13 @@
 //! Minimal IEEE 754 binary16 (half-precision) conversion, used by the
-//! opt-in `embed-f16` cache tier to store publish-time embeddings and
-//! projections at half the footprint. No external crates: the container is
-//! offline, and the two conversions below are all the cache needs.
+//! [`crate::CacheTier::F16`] cache tier to store publish-time embeddings
+//! and projections at half the footprint. No external crates: the two
+//! conversions below are all the cache needs.
 //!
 //! `f32_to_f16` rounds to nearest, ties to even — the IEEE default — so the
 //! quantisation error of a normal value is bounded by half a ulp:
 //! `|x - dec(enc(x))| ≤ 2^-11 · |x|`. The round-trip bound is pinned by the
-//! tests at the bottom and by the `embed-f16` golden tolerance tier.
+//! tests at the bottom and by the f16 tier's serving budget
+//! ([`crate::CacheTier::within_budget`]).
 
 /// Encode an `f32` as binary16 bits (round to nearest, ties to even).
 /// Overflow saturates to ±infinity; NaN payloads keep a quiet bit.
@@ -145,8 +146,8 @@ mod tests {
     }
 
     /// Round-to-nearest: the quantisation error of a normal-range value is
-    /// at most `2^-11` relative — the bound the `embed-f16` golden tier
-    /// budgets for.
+    /// at most `2^-11` relative — the bound the f16 cache tier's serving
+    /// budget is built on.
     #[test]
     fn roundtrip_relative_error_bound_on_normals() {
         let mut x = 6.2e-5f32; // just above the smallest normal half

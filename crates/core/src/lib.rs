@@ -31,7 +31,7 @@ pub mod trainer;
 
 pub use api::{BlockValues, EmbedCache, GraphForecaster, ProjSlot};
 pub use cau::ConvolutionalAttentionUnit;
-pub use config::{GaiaConfig, GaiaVariant};
+pub use config::{CacheTier, GaiaConfig, GaiaVariant};
 pub use ffl::FeatureFusionLayer;
 pub use ita::{AttentionDetail, ItaGcnLayer};
 pub use model::{Gaia, PublishStageProfile, PUBLISH_BLOCK};

@@ -305,12 +305,14 @@ impl Gaia {
 
     /// Precompute the FFL → TEL embedding value `E_v` and its five layer-0
     /// projections for every node of `ds` — the publish-time half of the
-    /// serving fast path. The returned cache holds them in its frozen tier
-    /// and nothing in its memo, so it is ready to share: installing it
-    /// makes [`GraphForecaster::forward_centers_cached`] skip the per-node
+    /// serving fast path. The returned cache holds them in its frozen tier,
+    /// stored at the model's [`GaiaConfig::cache_tier`], and nothing in its
+    /// memo, so it is ready to share: installing it makes
+    /// [`GraphForecaster::forward_centers_cached`] skip the per-node
     /// embedding subgraph and the layer-0 projection convs entirely.
-    /// Entries are the values the forward pass computes (exactly on the f32
-    /// tier), so predictions do not change.
+    /// Entries are the values the forward pass computes: exactly on the
+    /// f32 tier, so predictions do not change; within the serving budget
+    /// ([`crate::CacheTier::within_budget`]) on the f16 tier.
     ///
     /// Dispatches to the batched block driver
     /// ([`Gaia::precompute_embeddings_batched`]) with the default block
@@ -367,8 +369,8 @@ impl Gaia {
     /// per member to the per-node path, so the result is independent of
     /// block size, worker count and claim order —
     /// [`Gaia::precompute_embeddings_per_node`] computes the same values
-    /// (bit-exact on the scalar build; the simd/embed-f16 tolerance tiers
-    /// are measured against it).
+    /// (bit-exact on the scalar build at the f32 tier; the simd kernel
+    /// budget and the f16 tier's budget are measured against it).
     pub fn precompute_embeddings_batched(
         &self,
         ds: &gaia_synth::Dataset,
@@ -390,7 +392,7 @@ impl Gaia {
         profile: bool,
     ) -> (EmbedCache, PublishProfile) {
         let start = std::time::Instant::now();
-        let mut cache = EmbedCache::new();
+        let mut cache = EmbedCache::with_tier(self.cfg.cache_tier);
         let claims = cache.claim_pages(ds.n, (self.cfg.t, self.cfg.channels), CLAIM_PAGES);
         let work = || self.publish_worker(ds, block, &claims, profile);
         let reports = gaia_tensor::claim::spawn_workers(workers, work);
@@ -515,7 +517,8 @@ impl Gaia {
     }
 
     /// Incremental counterpart of [`Gaia::precompute_embeddings`]: start
-    /// from the previous epoch's frozen cache (an `Arc`-bump clone) and
+    /// from the previous epoch's frozen cache (an `Arc`-bump clone, which
+    /// keeps that cache's [`crate::CacheTier`]) and
     /// recompute the embedding + layer-0 projections of `nodes` only —
     /// in publish blocks through the same batched path as the full
     /// publisher, bulk-inserted copy-on-write (a touched segment is cloned
@@ -625,8 +628,8 @@ impl GraphForecaster for Gaia {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ProjSlot;
-    use crate::config::GaiaVariant;
+    use crate::api::{node_stride, ProjSlot, SEGMENT_NODES};
+    use crate::config::{CacheTier, GaiaVariant};
     use gaia_graph::extract_ego;
     use gaia_synth::{generate_dataset, WorldConfig};
 
@@ -638,59 +641,57 @@ mod tests {
         cfg
     }
 
-    /// Build-tier comparison for publish parity: bit-exact on the scalar
-    /// build, 1e-4 relative under `simd`, 5e-3 under `embed-f16` (the
-    /// documented cache quantisation budget dominates).
-    fn assert_publish_tier(a: &[f32], b: &[f32], ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}: length");
-        if cfg!(feature = "embed-f16") {
-            for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-                let tol = 5e-3 * y.abs().max(1.0);
-                assert!((x - y).abs() <= tol, "{ctx}[{i}]: {x} vs {y}");
-            }
-        } else if cfg!(feature = "simd") {
-            for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-                let tol = 1e-4 * y.abs().max(1.0);
-                assert!((x - y).abs() <= tol, "{ctx}[{i}]: {x} vs {y}");
-            }
-        } else {
-            assert_eq!(a, b, "{ctx}: scalar build must be bit-exact");
-        }
-    }
-
     /// Tentpole wall (unit tier): the batched block publisher fills every
     /// cache lane with the per-node publisher's values, across all four
-    /// model variants and a block size that straddles `n % B != 0`.
+    /// model variants, both cache tiers and a block size that straddles
+    /// `n % B != 0` — within the tier's budget or the `simd` build's 1e-4
+    /// relative, so bit-exact on the scalar build at f32.
     #[test]
     fn batched_publish_matches_per_node_across_variants() {
         let (_world, ds) = generate_dataset(WorldConfig::tiny());
+        let simd = if cfg!(feature = "simd") { 1e-4 } else { 0.0 };
+        let slots = [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst];
         for variant in
             [GaiaVariant::Full, GaiaVariant::NoIta, GaiaVariant::NoFfl, GaiaVariant::NoTel]
         {
             let cfg = small_cfg(&ds).with_variant(variant);
-            let model = Gaia::new(cfg, 5);
-            let batched = model.precompute_embeddings_batched(&ds, 7);
-            let per_node = model.precompute_embeddings_per_node(&ds);
-            assert_eq!(batched.len(), ds.n);
-            assert_eq!(per_node.len(), ds.n);
-            for (node, lanes) in per_node.iter().enumerate() {
-                let label = format!("{variant:?} node {node}");
-                assert_publish_tier(
-                    &batched.embed_vec(node).unwrap(),
-                    &lanes[0],
-                    &format!("{label} embed"),
-                );
-                for slot in
-                    [ProjSlot::Q, ProjSlot::K, ProjSlot::V, ProjSlot::GateSrc, ProjSlot::GateDst]
-                {
-                    assert_publish_tier(
-                        &batched.proj_vec(node, slot).unwrap(),
-                        &lanes[1 + slot as usize],
-                        &format!("{label} {slot:?}"),
-                    );
+            let per_node = Gaia::new(cfg.clone(), 5).precompute_embeddings_per_node(&ds);
+            for tier in CacheTier::ALL {
+                let model = Gaia::new(GaiaConfig { cache_tier: tier, ..cfg.clone() }, 5);
+                let batched = model.precompute_embeddings_batched(&ds, 7);
+                assert_eq!((batched.tier(), batched.len()), (tier, ds.n));
+                for (node, lanes) in per_node.iter().enumerate() {
+                    let got = std::iter::once(batched.embed_vec(node))
+                        .chain(slots.map(|slot| batched.proj_vec(node, slot)));
+                    for (lane, (got, want)) in got.zip(lanes).enumerate() {
+                        let got = got.expect("the batched publish covers every node");
+                        assert!(
+                            tier.within_budget(&got, want, simd),
+                            "{variant:?} {tier:?} node {node} lane {lane}: {got:?} vs {want:?}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// The f16 tier stores the same frozen lanes in exactly half the
+    /// payload bytes; the page and segment overhead `approx_heap_bytes`
+    /// counts does not depend on the tier.
+    #[test]
+    fn f16_publish_halves_the_frozen_payload_bytes() {
+        let (_world, ds) = generate_dataset(WorldConfig::tiny());
+        let cfg = small_cfg(&ds);
+        let [wide, half] = CacheTier::ALL.map(|tier| {
+            Gaia::new(GaiaConfig { cache_tier: tier, ..cfg.clone() }, 5).precompute_embeddings(&ds)
+        });
+        assert_eq!(wide.segment_count(), half.segment_count());
+        let payload = wide.segment_count() * SEGMENT_NODES * node_stride(cfg.t, cfg.channels) * 4;
+        assert_eq!(
+            wide.approx_heap_bytes() - payload,
+            half.approx_heap_bytes() - payload / 2,
+            "overhead differs between tiers"
+        );
     }
 
     /// The block tape reaches a zero-fresh-alloc steady state: after the

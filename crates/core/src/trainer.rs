@@ -361,8 +361,9 @@ pub fn predict_one_with<M: GraphForecaster + ?Sized>(
 /// sizes 1..=16 and by the committed golden fixtures): the result is
 /// element-wise bit-identical to calling [`predict_one_with`] in a loop
 /// with the same `seed` on a fresh scratch. A publish-time cache keeps
-/// that on the f32 tier; under `embed-f16` its frozen projections are
-/// binary16, so there the two agree within that tier's budget.
+/// that on the f32 tier; on the f16 tier its frozen lanes are binary16,
+/// so there the two agree within its serving budget
+/// ([`crate::CacheTier::within_budget`]).
 pub fn predict_batch_with<M: GraphForecaster + ?Sized>(
     model: &M,
     ds: &Dataset,
@@ -450,7 +451,7 @@ pub fn param_summary(ps: &ParamStore) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GaiaConfig;
+    use crate::config::{CacheTier, GaiaConfig};
     use crate::model::Gaia;
     use gaia_graph::EgoConfig;
     use gaia_synth::{generate_dataset, WorldConfig};
@@ -624,24 +625,20 @@ mod tests {
                 assert_eq!(&a.model_space, b, "{variant:?} cold-cache batch diverged");
             }
             // Warm scratch with the publish-time precompute installed
-            // (exercises the all-hit paths the serving workers run).
-            let mut warm = InferenceScratch::new();
-            warm.install_embed_cache(model.precompute_embeddings(&ds));
-            let got = predict_batch_with(&model, &ds, &world.graph, &nodes, 5, &mut warm);
-            for (a, b) in got.iter().zip(&expected) {
-                // Bitwise on the f32 cache tier; the `embed-f16` tier
-                // quantises the frozen publish-time cache, so the all-hit
-                // path carries the ~2^-11-relative budget instead.
-                if cfg!(feature = "embed-f16") {
-                    for (g, w) in a.model_space.iter().zip(b) {
-                        let tol = 5e-3 * w.abs().max(1.0);
-                        assert!(
-                            (g - w).abs() <= tol,
-                            "{variant:?} precomputed-cache batch diverged: {g} vs {w}"
-                        );
-                    }
-                } else {
-                    assert_eq!(&a.model_space, b, "{variant:?} precomputed-cache batch diverged");
+            // (exercises the all-hit paths the serving workers run), at
+            // each cache tier: bitwise on f32, within the budget on f16.
+            for tier in CacheTier::ALL {
+                let mut published = model.clone();
+                published.cfg.cache_tier = tier;
+                let mut warm = InferenceScratch::new();
+                warm.install_embed_cache(published.precompute_embeddings(&ds));
+                let got = predict_batch_with(&model, &ds, &world.graph, &nodes, 5, &mut warm);
+                for (a, b) in got.iter().zip(&expected) {
+                    let got = &a.model_space;
+                    assert!(
+                        tier.within_budget(got, b, 0.0),
+                        "{variant:?} {tier:?}: {got:?} vs {b:?}"
+                    );
                 }
             }
         }
@@ -652,9 +649,9 @@ mod tests {
     /// others do not (complete, memoised). Consecutive batches on one
     /// scratch — the memo warm from the batches before — serve exactly the
     /// uncached reference on a fresh scratch: bit for bit from a cold
-    /// scratch, and at the build's tier with the publish-time cache
-    /// installed (exact on the f32 tiers, the 5e-3 budget under
-    /// `embed-f16`; the memo itself is always f32).
+    /// scratch, and within each cache tier's serving budget with the
+    /// publish-time cache installed (exact at f32; the memo itself is
+    /// always f32).
     #[test]
     fn memo_warm_batches_match_the_uncached_reference() {
         let (world, ds) = generate_dataset(gaia_synth::WorldConfig::tiny());
@@ -679,24 +676,23 @@ mod tests {
         // centres' neighbourhoods memoised.
         let forward: Vec<usize> = (0..ds.n).collect();
         let backward: Vec<usize> = (0..ds.n).rev().collect();
-        for published in [false, true] {
+        for published in [None, Some(CacheTier::F32), Some(CacheTier::F16)] {
             let mut scratch = InferenceScratch::new();
-            if published {
-                scratch.install_embed_cache(model.precompute_embeddings(&ds));
+            if let Some(tier) = published {
+                let mut publisher = model.clone();
+                publisher.cfg.cache_tier = tier;
+                scratch.install_embed_cache(publisher.precompute_embeddings(&ds));
             }
             let mut memo_after_sweep = Vec::new();
             for sweep in [&forward, &backward] {
                 for batch in sweep.chunks(8) {
                     for p in predict_batch_with(&model, &ds, &world.graph, batch, 3, &mut scratch) {
-                        let want = &reference[p.node];
-                        if published && cfg!(feature = "embed-f16") {
-                            for (g, w) in p.model_space.iter().zip(want) {
-                                let tol = 5e-3 * w.abs().max(1.0);
-                                assert!((g - w).abs() <= tol, "shop {}: {g} vs {w}", p.node);
-                            }
-                        } else {
-                            assert_eq!(&p.model_space, want, "shop {} ({published})", p.node);
-                        }
+                        let (got, want) = (&p.model_space, &reference[p.node]);
+                        assert!(
+                            published.unwrap_or_default().within_budget(got, want, 0.0),
+                            "shop {} ({published:?}): {got:?} vs {want:?}",
+                            p.node
+                        );
                     }
                 }
                 memo_after_sweep.push(scratch.cached_layer_states());
@@ -709,7 +705,10 @@ mod tests {
                 // Layer 0 holds a scratch's own embeddings; a published
                 // cache serves them from its frozen tier.
                 if layer == 0 {
-                    assert!(!published, "a published cache memoised node {node} at layer 0");
+                    assert!(
+                        published.is_none(),
+                        "a published cache memoised node {node} at layer 0"
+                    );
                     continue;
                 }
                 assert_eq!(layer, 1, "only the non-final layer is memoised");

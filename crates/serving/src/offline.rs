@@ -21,6 +21,15 @@ pub struct ModelArtifact {
     pub final_train_loss: f32,
 }
 
+impl ModelArtifact {
+    /// Version 1 of the untrained model `Gaia::new(config, seed)`: a server
+    /// boots from it where training is beside the point.
+    pub fn untrained(config: GaiaConfig, seed: u64) -> Self {
+        let checkpoint = Gaia::new(config.clone(), seed).checkpoint();
+        Self { version: 1, config, checkpoint, final_train_loss: 0.0 }
+    }
+}
+
 /// The offline pipeline. In production this is scheduled monthly; here
 /// `execute_month` performs one full cycle.
 #[derive(Debug)]

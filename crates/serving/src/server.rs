@@ -564,38 +564,31 @@ mod tests {
     use super::*;
     use crate::offline::OfflinePipeline;
     use gaia_core::trainer::{predict_one_with, TrainConfig};
-    use gaia_core::GaiaConfig;
+    use gaia_core::{CacheTier, GaiaConfig};
     use gaia_graph::EgoConfig;
     use gaia_synth::{generate_dataset, WorldConfig};
 
-    /// Cached-vs-uncached (and batched-vs-per-request) prediction parity:
-    /// **bitwise** on the default f32 cache tier; under `embed-f16` the
-    /// frozen cache quantises to binary16 on freeze, so the comparison
-    /// carries the documented ~2^-11-relative budget amplified through the
-    /// network instead.
-    fn assert_pred_matches<T>(got: &[T], want: &[T], what: &str)
-    where
-        T: Copy + Into<f64> + PartialEq + std::fmt::Debug,
-    {
-        assert_eq!(got.len(), want.len(), "{what}: length");
-        if cfg!(feature = "embed-f16") {
-            for (&g, &w) in got.iter().zip(want) {
-                let (g, w): (f64, f64) = (g.into(), w.into());
-                let tol = 5e-3 * w.abs().max(1.0);
-                assert!((g - w).abs() <= tol, "{what}: {g} vs {w} (tol {tol})");
-            }
-        } else {
-            assert_eq!(got, want, "{what}");
-        }
-    }
+    /// Relative budget of the `simd` build's kernels against the per-request
+    /// reference path; exact on the scalar build.
+    const SIMD_BUDGET: f32 = if cfg!(feature = "simd") { 1e-4 } else { 0.0 };
 
-    fn booted_server() -> (Arc<ModelServer>, OfflinePipeline, gaia_synth::World) {
-        let (world, ds) = generate_dataset(WorldConfig::tiny());
+    /// The tests' small model at cache `tier`: 8 channels, 2 kernel
+    /// groups, `layers` ITA layers over `layers`-hop egos of `fanout`.
+    fn small_cfg(ds: &Dataset, layers: usize, fanout: usize, tier: CacheTier) -> GaiaConfig {
         let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
         cfg.channels = 8;
         cfg.kernel_groups = 2;
-        cfg.layers = 1;
-        cfg.ego = EgoConfig { hops: 1, fanout: 3 };
+        cfg.layers = layers;
+        cfg.ego = EgoConfig { hops: layers, fanout };
+        cfg.cache_tier = tier;
+        cfg
+    }
+
+    /// A server over a briefly trained 1-layer model whose artifacts
+    /// publish at cache `tier`.
+    fn booted_server(tier: CacheTier) -> (Arc<ModelServer>, OfflinePipeline, gaia_synth::World) {
+        let (world, ds) = generate_dataset(WorldConfig::tiny());
+        let cfg = small_cfg(&ds, 1, 3, tier);
         let tc =
             TrainConfig { epochs: 1, batch_size: 16, verbose: false, ..TrainConfig::default() };
         let mut pipeline = OfflinePipeline::new(cfg, tc, 3);
@@ -658,7 +651,7 @@ mod tests {
 
     #[test]
     fn predict_one_matches_batch() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         let single = server.predict_one(3);
         let (batch, stats) = server.serve(&[3], ServeConfig { workers: 1, micro_batch: 1 });
         assert_eq!(single.currency, batch[0].currency);
@@ -668,7 +661,7 @@ mod tests {
 
     #[test]
     fn hot_swap_changes_version_and_parameters() {
-        let (server, mut pipeline, world) = booted_server();
+        let (server, mut pipeline, world) = booted_server(CacheTier::F32);
         assert_eq!(server.version(), 1);
         assert_eq!(server.publishes(), 0);
         let before = server.predict_one(5);
@@ -683,7 +676,7 @@ mod tests {
 
     #[test]
     fn context_survives_hot_swap() {
-        let (server, mut pipeline, world) = booted_server();
+        let (server, mut pipeline, world) = booted_server(CacheTier::F32);
         let mut ctx = server.inference_context();
         assert_eq!(ctx.model_version(), 1);
         let before = ctx.predict(5);
@@ -698,35 +691,38 @@ mod tests {
 
     #[test]
     fn precomputed_embeddings_cover_dataset_and_swap_replaces_them() {
-        let (server, mut pipeline, world) = booted_server();
-        let mut ctx = server.inference_context();
-        let n = server.snapshot().ds.n;
-        // The snapshot's publish-time embeddings and layer-0 projections
-        // are installed up front — batched requests never convolve K/V.
-        assert_eq!(ctx.cached_embeddings(), n, "cache must cover every node");
-        assert_eq!(ctx.cached_projections(), n, "projections must cover every node");
-        let first = ctx.predict(3);
-        // Serving from the precomputed cache must equal a from-scratch
-        // forward pass (no cache ever sees this tape).
-        let mut bare = InferenceScratch::new();
-        let snap = server.snapshot();
-        let uncached = predict_one_with(&snap.model, &snap.ds, &snap.graph, 3, 42, &mut bare);
-        assert_pred_matches(&first.model_space, &uncached.model_space, "cached vs uncached");
-        // A hot swap replaces the embeddings (stale ones would silently
-        // serve the old model's parameters).
-        let (artifact2, _, _) = pipeline.execute_month(&world);
-        server.publish(&artifact2);
-        let swapped = ctx.predict(3);
-        assert_ne!(first.model_space, swapped.model_space);
-        assert_eq!(ctx.cached_embeddings(), n);
-        // And the served answer under the new model matches a fresh context.
-        let fresh = server.predict_one(3);
-        assert_eq!(swapped.model_space, fresh.model_space);
+        for tier in CacheTier::ALL {
+            let (server, mut pipeline, world) = booted_server(tier);
+            let mut ctx = server.inference_context();
+            let n = server.snapshot().ds.n;
+            // The snapshot's publish-time embeddings and layer-0 projections
+            // are installed up front — batched requests never convolve K/V.
+            assert_eq!(ctx.cached_embeddings(), n, "cache must cover every node");
+            assert_eq!(ctx.cached_projections(), n, "projections must cover every node");
+            let first = ctx.predict(3);
+            // Serving from the precomputed cache must equal a from-scratch
+            // forward pass (no cache ever sees this tape).
+            let mut bare = InferenceScratch::new();
+            let snap = server.snapshot();
+            let uncached = predict_one_with(&snap.model, &snap.ds, &snap.graph, 3, 42, &mut bare);
+            let (got, want) = (&first.model_space, &uncached.model_space);
+            assert!(tier.within_budget(got, want, 0.0), "{tier:?}: {got:?} vs {want:?}");
+            // A hot swap replaces the embeddings (stale ones would silently
+            // serve the old model's parameters).
+            let (artifact2, _, _) = pipeline.execute_month(&world);
+            server.publish(&artifact2);
+            let swapped = ctx.predict(3);
+            assert_ne!(first.model_space, swapped.model_space);
+            assert_eq!(ctx.cached_embeddings(), n);
+            // And the served answer under the new model matches a fresh context.
+            let fresh = server.predict_one(3);
+            assert_eq!(swapped.model_space, fresh.model_space);
+        }
     }
 
     #[test]
     fn stream_serving_returns_all_requests_in_order() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         let shops: Vec<usize> = (0..20).collect();
         let (preds, stats) = server.serve(&shops, ServeConfig { workers: 4, micro_batch: 1 });
         assert_eq!(preds.len(), 20);
@@ -744,7 +740,7 @@ mod tests {
 
     #[test]
     fn stream_matches_direct_prediction() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         let direct = server.predict_one(7);
         let (stream, _) = server.serve(&[7], ServeConfig { workers: 2, micro_batch: 1 });
         assert_eq!(stream[0].currency, direct.currency);
@@ -752,7 +748,7 @@ mod tests {
 
     #[test]
     fn predictions_identical_for_any_worker_count() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         let shops: Vec<usize> = (0..12).collect();
         let (one, _) = server.serve(&shops, ServeConfig { workers: 1, micro_batch: 1 });
         let (four, _) = server.serve(&shops, ServeConfig { workers: 4, micro_batch: 1 });
@@ -791,7 +787,7 @@ mod tests {
     /// each measurement with its client count.
     #[test]
     fn scaling_curve_single_point_and_labels() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         let single = server.scaling_curve(&[8], 2);
         assert_eq!(single.len(), 1);
         assert_eq!(single[0].0, 8);
@@ -804,7 +800,7 @@ mod tests {
 
     #[test]
     fn scaling_curve_grows_with_clients() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         // Per-point minimum over three sweeps: a millisecond-scale wall
         // time on a shared host can catch one scheduler stall.
         let mut curve = server.scaling_curve(&[10, 40], 2);
@@ -822,7 +818,7 @@ mod tests {
     /// buffers — the per-request cost is pure compute on pooled memory.
     #[test]
     fn serving_context_reaches_zero_alloc_steady_state() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         let mut ctx = server.inference_context();
         let shops: Vec<usize> = (0..10).collect();
         // Warm-up sweep: sees every ego shape in this workload.
@@ -846,28 +842,38 @@ mod tests {
     /// every micro-batch cap and worker count.
     #[test]
     fn micro_batched_serving_matches_per_request_exactly() {
-        let (server, _, _) = booted_server();
-        let shops: Vec<usize> = (0..24).map(|i| i % 10).collect();
-        let (expected, base_stats) =
-            server.serve(&shops, ServeConfig { workers: 1, micro_batch: 1 });
-        assert_eq!(base_stats.per_batch_size, vec![24], "micro_batch=1 packs singles only");
-        for workers in [1usize, 3] {
-            for micro_batch in [1usize, 4, 16] {
-                let (got, stats) = server.serve(&shops, ServeConfig { workers, micro_batch });
-                assert_eq!(got.len(), expected.len());
-                for (a, b) in got.iter().zip(&expected) {
-                    assert_eq!(a.node, b.node, "order changed at w={workers} mb={micro_batch}");
-                    assert_pred_matches(
-                        &a.model_space,
-                        &b.model_space,
-                        &format!("batched serving diverged at w={workers} mb={micro_batch}"),
+        for tier in CacheTier::ALL {
+            let (server, _, _) = booted_server(tier);
+            let shops: Vec<usize> = (0..24).map(|i| i % 10).collect();
+            let (expected, base_stats) =
+                server.serve(&shops, ServeConfig { workers: 1, micro_batch: 1 });
+            assert_eq!(base_stats.per_batch_size, vec![24], "micro_batch=1 packs singles only");
+            for workers in [1usize, 3] {
+                for micro_batch in [1usize, 4, 16] {
+                    let (got, stats) = server.serve(&shops, ServeConfig { workers, micro_batch });
+                    assert_eq!(got.len(), expected.len());
+                    for (a, b) in got.iter().zip(&expected) {
+                        assert_eq!(a.node, b.node, "order changed at w={workers} mb={micro_batch}");
+                        let at = format!("{tier:?} w={workers} mb={micro_batch}");
+                        assert_eq!(
+                            a.model_space, b.model_space,
+                            "batched serving diverged at {at}"
+                        );
+                        assert_eq!(a.currency, b.currency, "currency at {at}");
+                    }
+                    assert_eq!(stats.per_batch_size.len(), micro_batch);
+                    let served: usize = stats
+                        .per_batch_size
+                        .iter()
+                        .enumerate()
+                        .map(|(i, count)| (i + 1) * count)
+                        .sum();
+                    assert_eq!(
+                        served,
+                        shops.len(),
+                        "batch-size histogram must cover every request"
                     );
-                    assert_pred_matches(&a.currency, &b.currency, "currency");
                 }
-                assert_eq!(stats.per_batch_size.len(), micro_batch);
-                let served: usize =
-                    stats.per_batch_size.iter().enumerate().map(|(i, count)| (i + 1) * count).sum();
-                assert_eq!(served, shops.len(), "batch-size histogram must cover every request");
             }
         }
     }
@@ -877,7 +883,7 @@ mod tests {
     /// stays bit-stable, for a batch of one as for a full micro-batch.
     #[test]
     fn batched_context_reaches_zero_alloc_steady_state() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         for size in [1usize, 8] {
             let mut ctx = server.inference_context();
             let shops: Vec<usize> = (0..size).collect();
@@ -903,16 +909,18 @@ mod tests {
     /// batch from the new snapshot (fresh embeddings and projections).
     #[test]
     fn batched_context_picks_up_hot_swap() {
-        let (server, mut pipeline, world) = booted_server();
-        let mut ctx = server.inference_context();
-        let before = ctx.predict_batch(&[3, 5]);
-        let (artifact2, _, _) = pipeline.execute_month(&world);
-        server.publish(&artifact2);
-        let after = ctx.predict_batch(&[3, 5]);
-        assert_ne!(before[0].model_space, after[0].model_space);
-        // And the swapped answers equal a fresh context's.
-        let fresh = server.predict_one(3);
-        assert_pred_matches(&after[0].model_space, &fresh.model_space, "post-swap batch");
+        for tier in CacheTier::ALL {
+            let (server, mut pipeline, world) = booted_server(tier);
+            let mut ctx = server.inference_context();
+            let before = ctx.predict_batch(&[3, 5]);
+            let (artifact2, _, _) = pipeline.execute_month(&world);
+            server.publish(&artifact2);
+            let after = ctx.predict_batch(&[3, 5]);
+            assert_ne!(before[0].model_space, after[0].model_space);
+            // And the swapped answers equal a fresh context's.
+            let fresh = server.predict_one(3);
+            assert_eq!(after[0].model_space, fresh.model_space, "{tier:?} post-swap batch");
+        }
     }
 
     /// An empty request slice is a zeroed measurement: no NaN throughput,
@@ -920,7 +928,7 @@ mod tests {
     /// the degenerate case every aggregation downstream divides by.
     #[test]
     fn empty_batch_yields_empty_stats() {
-        let (server, _, _) = booted_server();
+        let (server, _, _) = booted_server(CacheTier::F32);
         let (preds, stats) = server.serve(&[], ServeConfig { workers: 4, micro_batch: 1 });
         assert!(preds.is_empty());
         assert_eq!(stats.requests, 0);
@@ -945,110 +953,74 @@ mod tests {
     /// and the versions a context observes must be monotone.
     #[test]
     fn hot_swap_under_load_never_tears() {
-        let (server, mut pipeline, world) = booted_server();
-        // Precompute the expected answer for shop 5 under each generation.
-        let mut artifacts = vec![];
-        let mut expected = vec![server.predict_one(5).model_space.clone()];
-        let current = server.snapshot();
-        for _ in 0..3 {
-            let (a, _, _) = pipeline.execute_month(&world);
-            let snap =
-                ModelSnapshot::from_artifact(&a, 0, current.ds.clone(), current.graph.clone());
-            let mut scratch = InferenceScratch::new();
-            expected.push(
-                predict_one_with(&snap.model, &snap.ds, &snap.graph, 5, 42, &mut scratch)
-                    .model_space
-                    .clone(),
-            );
-            artifacts.push(a);
-        }
-        std::thread::scope(|scope| {
+        for tier in CacheTier::ALL {
+            let (server, mut pipeline, world) = booted_server(tier);
+            // Precompute the expected answer for shop 5 under each generation.
+            let mut artifacts = vec![];
+            let mut expected = vec![server.predict_one(5).model_space.clone()];
+            let current = server.snapshot();
             for _ in 0..3 {
-                let server = &server;
-                let expected = &expected;
-                scope.spawn(move || {
-                    let mut ctx = server.inference_context();
-                    let mut last_version = 0;
-                    for _ in 0..60 {
-                        let version = ctx.model_version();
-                        assert!(version >= last_version, "version went backwards");
-                        last_version = version;
-                        let pred = ctx.predict(5);
-                        // The prediction must match ONE generation — a torn
-                        // read (mixed parameters) would match none. Exact on
-                        // the f32 tier; the f16 tier quantises the cache, so
-                        // "matches" carries the quantisation budget (still
-                        // far below inter-generation differences).
-                        let matches_one = if cfg!(feature = "embed-f16") {
-                            expected.iter().any(|e| {
-                                e.len() == pred.model_space.len()
-                                    && e.iter()
-                                        .zip(&pred.model_space)
-                                        .all(|(w, g)| (g - w).abs() <= 5e-3 * w.abs().max(1.0))
-                            })
-                        } else {
-                            expected.contains(&pred.model_space)
-                        };
-                        assert!(matches_one, "prediction matches no published generation");
+                let (a, _, _) = pipeline.execute_month(&world);
+                let snap =
+                    ModelSnapshot::from_artifact(&a, 0, current.ds.clone(), current.graph.clone());
+                let mut scratch = InferenceScratch::new();
+                expected.push(
+                    predict_one_with(&snap.model, &snap.ds, &snap.graph, 5, 42, &mut scratch)
+                        .model_space
+                        .clone(),
+                );
+                artifacts.push(a);
+            }
+            std::thread::scope(|scope| {
+                for _ in 0..3 {
+                    let server = &server;
+                    let expected = &expected;
+                    scope.spawn(move || {
+                        let mut ctx = server.inference_context();
+                        let mut last_version = 0;
+                        for _ in 0..60 {
+                            let version = ctx.model_version();
+                            assert!(version >= last_version, "version went backwards");
+                            last_version = version;
+                            let pred = ctx.predict(5);
+                            // The prediction must match ONE generation — a torn
+                            // read (mixed parameters) would match none. "Matches"
+                            // carries the tier's budget: exact on f32, and on f16
+                            // still far below inter-generation differences.
+                            let matches_one = expected
+                                .iter()
+                                .any(|e| tier.within_budget(&pred.model_space, e, 0.0));
+                            assert!(matches_one, "prediction matches no published generation");
+                        }
+                    });
+                }
+                scope.spawn(|| {
+                    for a in &artifacts {
+                        server.publish(a);
+                        std::thread::yield_now();
                     }
                 });
-            }
-            scope.spawn(|| {
-                for a in &artifacts {
-                    server.publish(a);
-                    std::thread::yield_now();
-                }
             });
-        });
-        assert_eq!(server.version(), 4);
-        assert_eq!(server.publishes(), 3);
+            assert_eq!(server.version(), 4);
+            assert_eq!(server.publishes(), 3);
+        }
     }
 
     /// A server over an untrained (but deterministically initialised)
     /// model: delta-vs-full parity is a property of the republish paths,
     /// not of training, and skipping the train loop keeps these tests fast
-    /// enough to run at a world size with several cache segments.
+    /// enough to run at a world size with several cache segments. Its
+    /// artifact publishes at cache `tier`.
     fn untrained_server(
         n_shops: usize,
         world_seed: u64,
+        tier: CacheTier,
     ) -> (ModelServer, gaia_synth::World, ModelArtifact) {
         let wc = WorldConfig { n_shops, seed: world_seed, ..WorldConfig::tiny() };
         let (world, ds) = generate_dataset(wc);
-        let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
-        cfg.channels = 8;
-        cfg.kernel_groups = 2;
-        cfg.layers = 1;
-        cfg.ego = EgoConfig { hops: 1, fanout: 3 };
-        let model = Gaia::new(cfg.clone(), 7);
-        let artifact = ModelArtifact {
-            version: 1,
-            config: cfg,
-            checkpoint: model.checkpoint(),
-            final_train_loss: 0.0,
-        };
+        let artifact = ModelArtifact::untrained(small_cfg(&ds, 1, 3, tier), 7);
         let server = ModelServer::new(&artifact, world.graph.clone(), ds, 42);
         (server, world, artifact)
-    }
-
-    /// Two-tier parity discipline: the scalar build must agree bit for
-    /// bit; the SIMD build within 1e-4 relative.
-    fn assert_prediction_parity(delta: &Prediction, full: &Prediction, shop: usize) {
-        assert_eq!(delta.node, full.node);
-        assert_eq!(delta.model_space.len(), full.model_space.len());
-        if cfg!(feature = "simd") {
-            for (h, (a, b)) in delta.model_space.iter().zip(&full.model_space).enumerate() {
-                let tol = 1e-4f32 * b.abs().max(1.0);
-                assert!(
-                    (a - b).abs() <= tol,
-                    "shop {shop} horizon {h}: delta {a} vs full {b} beyond 1e-4 relative"
-                );
-            }
-        } else {
-            assert_eq!(
-                delta.model_space, full.model_space,
-                "shop {shop} diverged bitwise on the scalar build"
-            );
-        }
     }
 
     /// One burst of realistic churn: a history rewrite deep enough to move
@@ -1088,8 +1060,8 @@ mod tests {
     /// only the dirty closure, not the world.
     #[test]
     fn delta_publish_matches_full_teardown() {
-        let (delta_srv, mut world_a, _) = untrained_server(160, 21);
-        let (full_srv, mut world_b, _) = untrained_server(160, 21);
+        let (delta_srv, mut world_a, _) = untrained_server(160, 21, CacheTier::F32);
+        let (full_srv, mut world_b, _) = untrained_server(160, 21, CacheTier::F32);
         let horizon = delta_srv.snapshot().ds.horizon;
         let dirty = churn(&mut world_a, horizon);
         let dirty_b = churn(&mut world_b, horizon);
@@ -1117,23 +1089,11 @@ mod tests {
         let mut ctx_d = delta_srv.inference_context();
         let mut ctx_f = full_srv.inference_context();
         for shop in 0..snap_d.ds.n {
-            assert_prediction_parity(&ctx_d.predict(shop), &ctx_f.predict(shop), shop);
-        }
-    }
-
-    /// Build-tier comparison against the uncached reference: bit-exact on
-    /// the scalar build, 1e-4 relative under `simd`, 5e-3 under
-    /// `embed-f16` (the frozen cache quantisation budget).
-    fn assert_uncached_tier(got: &[f32], want: &[f32], what: &str) {
-        assert_eq!(got.len(), want.len(), "{what}: length");
-        if cfg!(any(feature = "simd", feature = "embed-f16")) {
-            let rel = if cfg!(feature = "embed-f16") { 5e-3 } else { 1e-4 };
-            for (&g, &w) in got.iter().zip(want) {
-                let tol = rel * w.abs().max(1.0);
-                assert!((g - w).abs() <= tol, "{what}: {g} vs {w} (tol {tol})");
-            }
-        } else {
-            assert_eq!(got, want, "{what}: scalar build must be bit-exact");
+            // Exact on the scalar build, within 1e-4 relative under `simd`.
+            let (delta, full) = (ctx_d.predict(shop), ctx_f.predict(shop));
+            assert_eq!(delta.node, full.node);
+            let (d, f) = (&delta.model_space, &full.model_space);
+            assert!(CacheTier::F32.within_budget(d, f, SIMD_BUDGET), "shop {shop}: {d:?} vs {f:?}");
         }
     }
 
@@ -1146,43 +1106,48 @@ mod tests {
     #[test]
     fn batch_of_one_matches_uncached_reference() {
         use gaia_synth::{NewShop, Role};
-        let (server, mut world, _) = untrained_server(60, 13);
-        let template = world.shops[0].clone();
-        let fresh_owner = world.shops.iter().map(|s| s.owner).max().unwrap() + 1;
-        let mut born = |owner: u32| {
-            world.add_shop(NewShop {
-                industry: template.industry,
-                region: template.region,
-                role: Role::Retailer,
-                owner,
-                lead: 0,
-            }) as usize
-        };
-        let loner = born(fresh_owner);
-        let joiner = born(template.owner);
-        let dirty = world.take_dirty();
-        server.publish_delta(&world, &dirty);
+        for tier in CacheTier::ALL {
+            let (server, mut world, _) = untrained_server(60, 13, tier);
+            let template = world.shops[0].clone();
+            let fresh_owner = world.shops.iter().map(|s| s.owner).max().unwrap() + 1;
+            let mut born = |owner: u32| {
+                world.add_shop(NewShop {
+                    industry: template.industry,
+                    region: template.region,
+                    role: Role::Retailer,
+                    owner,
+                    lead: 0,
+                }) as usize
+            };
+            let loner = born(fresh_owner);
+            let joiner = born(template.owner);
+            let dirty = world.take_dirty();
+            server.publish_delta(&world, &dirty);
 
-        let snap = server.snapshot();
-        assert_eq!(snap.ds.n, world.shops.len(), "both newcomers joined the serving world");
-        assert_eq!(snap.graph.degree(loner), 0, "the loner must have no edges");
-        assert!(snap.graph.degree(joiner) > 0, "the joiner must have same-owner edges");
-        let mut ctx = server.inference_context();
-        for shop in 0..snap.ds.n {
-            let mut bare = InferenceScratch::new();
-            let reference =
-                predict_one_with(&snap.model, &snap.ds, &snap.graph, shop, 42, &mut bare);
-            let single = ctx.predict(shop);
-            let batch = ctx.predict_batch(&[shop]);
-            assert_eq!(single.node, shop);
-            assert_eq!(batch.len(), 1);
-            assert_eq!(single.model_space, batch[0].model_space, "shop {shop}: predict vs batch");
-            assert_eq!(single.currency, batch[0].currency, "shop {shop}: currency");
-            assert_uncached_tier(
-                &single.model_space,
-                &reference.model_space,
-                &format!("shop {shop} vs uncached reference"),
-            );
+            let snap = server.snapshot();
+            assert_eq!(snap.ds.n, world.shops.len(), "both newcomers joined the serving world");
+            assert_eq!(snap.graph.degree(loner), 0, "the loner must have no edges");
+            assert!(snap.graph.degree(joiner) > 0, "the joiner must have same-owner edges");
+            let mut ctx = server.inference_context();
+            for shop in 0..snap.ds.n {
+                let mut bare = InferenceScratch::new();
+                let reference =
+                    predict_one_with(&snap.model, &snap.ds, &snap.graph, shop, 42, &mut bare);
+                let single = ctx.predict(shop);
+                let batch = ctx.predict_batch(&[shop]);
+                assert_eq!(single.node, shop);
+                assert_eq!(batch.len(), 1);
+                assert_eq!(
+                    single.model_space, batch[0].model_space,
+                    "shop {shop}: predict vs batch"
+                );
+                assert_eq!(single.currency, batch[0].currency, "shop {shop}: currency");
+                let (got, want) = (&single.model_space, &reference.model_space);
+                assert!(
+                    tier.within_budget(got, want, SIMD_BUDGET),
+                    "{tier:?} shop {shop} vs uncached: {got:?} vs {want:?}"
+                );
+            }
         }
     }
 
@@ -1191,7 +1156,7 @@ mod tests {
     /// many batches never memoises a state.
     #[test]
     fn one_layer_model_never_memoises_layer_states() {
-        let (server, _, _) = untrained_server(60, 13);
+        let (server, _, _) = untrained_server(60, 13, CacheTier::F32);
         assert_eq!(server.snapshot().model.cfg.layers, 1);
         let mut ctx = server.inference_context();
         for round in 0..4 {
@@ -1212,62 +1177,56 @@ mod tests {
     #[test]
     fn delta_publish_drops_memoised_layer_states() {
         use gaia_synth::MonthlySales;
-        let wc = WorldConfig { n_shops: 80, seed: 17, ..WorldConfig::tiny() };
-        let (mut world, ds) = generate_dataset(wc);
-        let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
-        cfg.channels = 8;
-        cfg.kernel_groups = 2;
-        cfg.layers = 2;
-        cfg.ego = EgoConfig { hops: 2, fanout: 4 };
-        let artifact = ModelArtifact {
-            version: 1,
-            config: cfg.clone(),
-            checkpoint: Gaia::new(cfg.clone(), 7).checkpoint(),
-            final_train_loss: 0.0,
-        };
-        let server = ModelServer::new(&artifact, world.graph.clone(), ds, 42);
-        // A shop that stays complete after gaining one edge, and a shop
-        // not yet linked to it to supply it.
-        let graph = &world.graph;
-        let target = (0..graph.num_nodes())
-            .find(|&v| (1..cfg.ego.fanout).contains(&graph.degree(v)))
-            .expect("a shop with spare fan-out");
-        let neighbour = graph.neighbors(target)[0].node;
-        let supplier = (0..graph.num_nodes() as u32)
-            .find(|&v| {
-                v as usize != target && graph.neighbors(target).iter().all(|nb| nb.node != v)
-            })
-            .unwrap();
-        let shops: Vec<usize> = vec![target, neighbour as usize, supplier as usize];
+        for tier in CacheTier::ALL {
+            let wc = WorldConfig { n_shops: 80, seed: 17, ..WorldConfig::tiny() };
+            let (mut world, ds) = generate_dataset(wc);
+            let cfg = small_cfg(&ds, 2, 4, tier);
+            let artifact = ModelArtifact::untrained(cfg.clone(), 7);
+            let server = ModelServer::new(&artifact, world.graph.clone(), ds, 42);
+            // A shop that stays complete after gaining one edge, and a shop
+            // not yet linked to it to supply it.
+            let graph = &world.graph;
+            let target = (0..graph.num_nodes())
+                .find(|&v| (1..cfg.ego.fanout).contains(&graph.degree(v)))
+                .expect("a shop with spare fan-out");
+            let neighbour = graph.neighbors(target)[0].node;
+            let supplier = (0..graph.num_nodes() as u32)
+                .find(|&v| {
+                    v as usize != target && graph.neighbors(target).iter().all(|nb| nb.node != v)
+                })
+                .unwrap();
+            let shops: Vec<usize> = vec![target, neighbour as usize, supplier as usize];
 
-        let mut ctx = server.inference_context();
-        let before = ctx.predict_batch(&shops);
-        assert!(ctx.cached_layer_states() > 0, "the target's layer-1 state was not memoised");
+            let mut ctx = server.inference_context();
+            let before = ctx.predict_batch(&shops);
+            assert!(ctx.cached_layer_states() > 0, "the target's layer-1 state was not memoised");
 
-        assert!(world.add_supply_edge(supplier, target as u32));
-        let window: Vec<MonthlySales> = (0..server.snapshot().ds.horizon + 2)
-            .map(|m| MonthlySales {
-                gmv: 7_000.0 + 300.0 * m as f64,
-                orders: 50.0,
-                customers: 20.0,
-            })
-            .collect();
-        world.record_sales(neighbour, &window);
-        let dirty = world.take_dirty();
-        server.publish_delta(&world, &dirty);
-        let snap = server.snapshot();
-        assert!(snap.graph.degree(target) <= cfg.ego.fanout, "the target must stay complete");
+            assert!(world.add_supply_edge(supplier, target as u32));
+            let window: Vec<MonthlySales> = (0..server.snapshot().ds.horizon + 2)
+                .map(|m| MonthlySales {
+                    gmv: 7_000.0 + 300.0 * m as f64,
+                    orders: 50.0,
+                    customers: 20.0,
+                })
+                .collect();
+            world.record_sales(neighbour, &window);
+            let dirty = world.take_dirty();
+            server.publish_delta(&world, &dirty);
+            let snap = server.snapshot();
+            assert!(snap.graph.degree(target) <= cfg.ego.fanout, "the target must stay complete");
 
-        let after = ctx.predict_batch(&shops);
-        let fresh = server.inference_context().predict_batch(&shops);
-        for ((a, f), b) in after.iter().zip(&fresh).zip(&before) {
-            assert_eq!(a.model_space, f.model_space, "shop {}: warm vs fresh context", a.node);
-            let mut bare = InferenceScratch::new();
-            let reference =
-                predict_one_with(&snap.model, &snap.ds, &snap.graph, a.node, 42, &mut bare);
-            assert_uncached_tier(&a.model_space, &reference.model_space, "vs uncached reference");
-            if a.node == target {
-                assert_ne!(a.model_space, b.model_space, "the delta must move the target");
+            let after = ctx.predict_batch(&shops);
+            let fresh = server.inference_context().predict_batch(&shops);
+            for ((a, f), b) in after.iter().zip(&fresh).zip(&before) {
+                assert_eq!(a.model_space, f.model_space, "shop {}: warm vs fresh context", a.node);
+                let mut bare = InferenceScratch::new();
+                let reference =
+                    predict_one_with(&snap.model, &snap.ds, &snap.graph, a.node, 42, &mut bare);
+                let (got, want) = (&a.model_space, &reference.model_space);
+                assert!(tier.within_budget(got, want, SIMD_BUDGET), "{got:?} vs {want:?}");
+                if a.node == target {
+                    assert_ne!(a.model_space, b.model_space, "the delta must move the target");
+                }
             }
         }
     }
@@ -1279,7 +1238,7 @@ mod tests {
     /// revision still advances so observers can tell the publish happened.
     #[test]
     fn empty_dirty_republish_shares_every_segment() {
-        let (server, world, _) = untrained_server(60, 5);
+        let (server, world, _) = untrained_server(60, 5, CacheTier::F32);
         let before = server.snapshot();
         let preds: Vec<_> = (0..before.ds.n).map(|s| server.predict_one(s)).collect();
 
@@ -1313,7 +1272,7 @@ mod tests {
     #[test]
     fn delta_republish_shares_clean_segments() {
         use gaia_synth::MonthlySales;
-        let (server, mut world, _) = untrained_server(160, 9);
+        let (server, mut world, _) = untrained_server(160, 9, CacheTier::F32);
         let before = server.snapshot();
         let preds: Vec<_> = (0..before.ds.n).map(|s| server.predict_one(s)).collect();
 
@@ -1360,6 +1319,49 @@ mod tests {
         }
     }
 
+    /// A server publishes at its artifact's cache tier. Delta bursts
+    /// inherit the previous cache's tier for every segment they rewrite
+    /// or append, a full republish keeps the model's tier, and a model
+    /// hot swap publishes at the new artifact's tier.
+    #[test]
+    fn every_publish_path_keeps_the_artifact_tier() {
+        let (server, mut world, artifact) = untrained_server(160, 9, CacheTier::F16);
+        let stored_at = |tier| {
+            let snap = server.snapshot();
+            let cache = &snap.embeddings;
+            cache.tier() == tier
+                && (0..cache.segment_count()).all(|seg| cache.segment_tier(seg) == Some(tier))
+        };
+        assert!(stored_at(CacheTier::F16), "boot publish");
+
+        // A burst that rewrites a row: its segment is rebuilt, at f16.
+        let before = server.snapshot();
+        let industry = world.shops[8].industry;
+        world.set_industry(5, industry);
+        let dirty = world.take_dirty();
+        server.publish_delta(&world, &dirty);
+        let seg = EmbedCache::segment_of(5);
+        let rebuilt = server.snapshot().embeddings.segment_addr(seg);
+        assert_ne!(rebuilt, before.embeddings.segment_addr(seg), "the burst rebuilt nothing");
+        assert!(stored_at(CacheTier::F16), "rewritten segment");
+
+        // A burst that grows the world (`churn` appends a shop).
+        let dirty = churn(&mut world, before.ds.horizon);
+        server.publish_delta(&world, &dirty);
+        let appended = server.snapshot().embeddings.segment_count();
+        assert!(appended > before.embeddings.segment_count(), "no segment appended");
+        assert!(stored_at(CacheTier::F16), "appended segment");
+
+        server.publish_full(&world);
+        assert!(stored_at(CacheTier::F16), "full republish");
+        server.publish(&artifact);
+        assert!(stored_at(CacheTier::F16), "model hot swap");
+        let mut wide = artifact.clone();
+        wide.config.cache_tier = CacheTier::F32;
+        server.publish(&wide);
+        assert!(stored_at(CacheTier::F32), "hot swap to an f32 artifact");
+    }
+
     /// A snapshot holds the world's graph by `Arc`, never a copy: a delta
     /// publish whose burst changed no edge serves from the previous
     /// snapshot's CSR storage, and one after an `add_supply_edge` serves
@@ -1371,7 +1373,7 @@ mod tests {
             a.num_nodes() == b.num_nodes()
                 && (0..a.num_nodes()).all(|v| a.neighbors(v).as_ptr() == b.neighbors(v).as_ptr())
         }
-        let (server, mut world, _) = untrained_server(160, 9);
+        let (server, mut world, _) = untrained_server(160, 9, CacheTier::F32);
         let before = server.snapshot();
         let window: Vec<MonthlySales> = (0..before.ds.horizon + 2)
             .map(|m| MonthlySales { gmv: 8_000.0 + 50.0 * m as f64, orders: 30.0, customers: 20.0 })
@@ -1408,7 +1410,7 @@ mod tests {
     /// carry the version.
     #[test]
     fn version_and_world_rev_advance_independently() {
-        let (server, world, artifact) = untrained_server(60, 3);
+        let (server, world, artifact) = untrained_server(60, 3, CacheTier::F32);
         let snap = server.snapshot();
         assert_eq!((snap.version, snap.world_rev), (1, 0));
 

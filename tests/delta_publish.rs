@@ -11,9 +11,9 @@
 //!   chain of republishes (clean segments are shared, not copied, and the
 //!   tape pool never sees a new shape),
 //! - cache segments outside each delta's ego closure are carried into the
-//!   next generation as the *same* `Arc` allocation.
+//!   next generation as the *same* `Arc` allocation — at both cache tiers.
 
-use gaia_core::{EmbedCache, Gaia, GaiaConfig, GraphForecaster};
+use gaia_core::{CacheTier, EmbedCache, GaiaConfig, GraphForecaster};
 use gaia_graph::{dirty_closure, EgoConfig};
 use gaia_serving::{ModelArtifact, ModelServer};
 use gaia_synth::{generate_dataset, DirtySet, MonthlySales, World, WorldConfig};
@@ -22,8 +22,8 @@ const N_SHOPS: usize = 160;
 const GENERATIONS: usize = 6;
 
 /// Boot a server over a deterministic untrained model (republish behaviour
-/// does not depend on training) plus the world it serves.
-fn boot() -> (ModelServer, World) {
+/// does not depend on training) at cache `tier`, plus the world it serves.
+fn boot(tier: CacheTier) -> (ModelServer, World) {
     let wc = WorldConfig { n_shops: N_SHOPS, seed: 77, ..WorldConfig::tiny() };
     let (world, ds) = generate_dataset(wc);
     let mut cfg = GaiaConfig::new(ds.t, ds.horizon, ds.d_t, ds.d_s);
@@ -31,13 +31,8 @@ fn boot() -> (ModelServer, World) {
     cfg.kernel_groups = 2;
     cfg.layers = 1;
     cfg.ego = EgoConfig { hops: 1, fanout: 3 };
-    let model = Gaia::new(cfg.clone(), 13);
-    let artifact = ModelArtifact {
-        version: 1,
-        config: cfg,
-        checkpoint: model.checkpoint(),
-        final_train_loss: 0.0,
-    };
+    cfg.cache_tier = tier;
+    let artifact = ModelArtifact::untrained(cfg, 13);
     let server = ModelServer::new(&artifact, world.graph.clone(), ds, 42);
     (server, world)
 }
@@ -71,67 +66,72 @@ fn churn_chain(world: &World, horizon: usize) -> Vec<(World, DirtySet)> {
 /// a warm context must stay at zero fresh tape allocations throughout.
 #[test]
 fn repeated_delta_publish_under_load_serves_consistent_generations() {
-    let (server, world) = boot();
-    let horizon = server.snapshot().ds.horizon;
-    let chain = churn_chain(&world, horizon);
-    let probe = 13usize; // dirtied by generation 1, then stable
+    for tier in CacheTier::ALL {
+        let (server, world) = boot(tier);
+        let horizon = server.snapshot().ds.horizon;
+        let chain = churn_chain(&world, horizon);
+        let probe = 13usize; // dirtied by generation 1, then stable
 
-    // Shadow replay: expected[g] is the probe's answer under generation g.
-    let (shadow, _) = boot();
-    let mut expected = vec![shadow.predict_one(probe).model_space.clone()];
-    for (w, dirty) in &chain {
-        shadow.publish_delta(w, dirty);
-        expected.push(shadow.predict_one(probe).model_space.clone());
-    }
-    // The chain must actually change the probe's prediction at least once —
-    // otherwise the attribution assertion below would be vacuous.
-    assert!(expected.windows(2).any(|p| p[0] != p[1]), "churn chain never moved the probe");
+        // Shadow replay: expected[g] is the probe's answer under generation g.
+        let (shadow, _) = boot(tier);
+        let mut expected = vec![shadow.predict_one(probe).model_space.clone()];
+        for (w, dirty) in &chain {
+            shadow.publish_delta(w, dirty);
+            expected.push(shadow.predict_one(probe).model_space.clone());
+        }
+        // The chain must actually change the probe's prediction at least once —
+        // otherwise the attribution assertion below would be vacuous.
+        assert!(expected.windows(2).any(|p| p[0] != p[1]), "churn chain never moved the probe");
 
-    std::thread::scope(|scope| {
-        for _ in 0..3 {
-            let server = &server;
-            let expected = &expected;
-            scope.spawn(move || {
-                let mut ctx = server.inference_context();
-                // Warm the tape on the first request; from then on the
-                // republishes must never cost this context an allocation.
-                let _ = ctx.predict(probe);
-                let warm_allocs = ctx.tape_fresh_allocs();
-                let mut last_epoch = 0u64;
-                for _ in 0..200 {
-                    let pred = ctx.predict(probe);
-                    // predict() revalidated the reader, so seen_epoch IS the
-                    // generation that produced `pred` (one publish = one
-                    // epoch bump on this server).
-                    let epoch = ctx.snapshot_epoch();
-                    assert!(epoch >= last_epoch, "epoch went backwards: {last_epoch} -> {epoch}");
-                    last_epoch = epoch;
-                    assert_eq!(
-                        pred.model_space, expected[epoch as usize],
-                        "prediction not attributable to the generation of epoch {epoch}"
-                    );
-                    assert_eq!(
-                        ctx.tape_fresh_allocs(),
-                        warm_allocs,
-                        "a republish cost a warm context a fresh tape allocation"
-                    );
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                let server = &server;
+                let expected = &expected;
+                scope.spawn(move || {
+                    let mut ctx = server.inference_context();
+                    // Warm the tape on the first request; from then on the
+                    // republishes must never cost this context an allocation.
+                    let _ = ctx.predict(probe);
+                    let warm_allocs = ctx.tape_fresh_allocs();
+                    let mut last_epoch = 0u64;
+                    for _ in 0..200 {
+                        let pred = ctx.predict(probe);
+                        // predict() revalidated the reader, so seen_epoch IS the
+                        // generation that produced `pred` (one publish = one
+                        // epoch bump on this server).
+                        let epoch = ctx.snapshot_epoch();
+                        assert!(
+                            epoch >= last_epoch,
+                            "epoch went backwards: {last_epoch} -> {epoch}"
+                        );
+                        last_epoch = epoch;
+                        assert_eq!(
+                            pred.model_space, expected[epoch as usize],
+                            "prediction not attributable to the generation of epoch {epoch}"
+                        );
+                        assert_eq!(
+                            ctx.tape_fresh_allocs(),
+                            warm_allocs,
+                            "a republish cost a warm context a fresh tape allocation"
+                        );
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for (w, dirty) in &chain {
+                    server.publish_delta(w, dirty);
+                    std::thread::yield_now();
                 }
             });
-        }
-        scope.spawn(|| {
-            for (w, dirty) in &chain {
-                server.publish_delta(w, dirty);
-                std::thread::yield_now();
-            }
         });
-    });
 
-    let snap = server.snapshot();
-    assert_eq!(snap.world_rev, GENERATIONS as u64);
-    assert_eq!(snap.version, 1, "no retrain happened");
-    assert_eq!(server.publishes(), GENERATIONS as u64);
-    // Post-churn, a fresh context serves the final generation's answer.
-    assert_eq!(server.predict_one(probe).model_space, expected[GENERATIONS]);
+        let snap = server.snapshot();
+        assert_eq!(snap.world_rev, GENERATIONS as u64);
+        assert_eq!(snap.version, 1, "no retrain happened");
+        assert_eq!(server.publishes(), GENERATIONS as u64);
+        // Post-churn, a fresh context serves the final generation's answer.
+        assert_eq!(server.predict_one(probe).model_space, expected[GENERATIONS]);
+    }
 }
 
 /// Across the whole republish chain, every cache segment outside a delta's
@@ -139,34 +139,39 @@ fn repeated_delta_publish_under_load_serves_consistent_generations() {
 /// allocation — the O(dirty·ego) memory claim, end to end.
 #[test]
 fn republish_chain_shares_clean_segments_between_adjacent_generations() {
-    let (server, world) = boot();
-    let snap0 = server.snapshot();
-    let radius = snap0.model.ego_config().hops;
-    let chain = churn_chain(&world, snap0.ds.horizon);
+    for tier in CacheTier::ALL {
+        let (server, world) = boot(tier);
+        let snap0 = server.snapshot();
+        let radius = snap0.model.ego_config().hops;
+        let chain = churn_chain(&world, snap0.ds.horizon);
 
-    let mut prev = snap0;
-    let mut shared_total = 0usize;
-    for (gen, (w, dirty)) in chain.iter().enumerate() {
-        let stats = server.publish_delta(w, dirty);
-        let next = server.snapshot();
-        let closure = dirty_closure(&w.graph, dirty.nodes(), radius);
-        assert_eq!(stats.closure_nodes, closure.len());
-        // Each generation rewrites exactly one shop's history, so exactly
-        // one feature row moves and exactly one segment is rebuilt; the
-        // shop's closure neighbours refresh to bit-identical rows and keep
-        // their cached entries.
-        assert_eq!(stats.recomputed_nodes, 1, "generation {gen} recomputed more than the delta");
-        let rebuilt = EmbedCache::segment_of(((gen + 1) * 13) % N_SHOPS);
-        for seg in 0..prev.embeddings.segment_count() {
-            let (b, a) = (prev.embeddings.segment_addr(seg), next.embeddings.segment_addr(seg));
-            if seg == rebuilt {
-                assert_ne!(b, a, "generation {gen}: the rewritten shop's segment not rebuilt");
-            } else {
-                assert_eq!(b, a, "generation {gen}: clean segment {seg} was copied");
-                shared_total += 1;
+        let mut prev = snap0;
+        let mut shared_total = 0usize;
+        for (gen, (w, dirty)) in chain.iter().enumerate() {
+            let stats = server.publish_delta(w, dirty);
+            let next = server.snapshot();
+            let closure = dirty_closure(&w.graph, dirty.nodes(), radius);
+            assert_eq!(stats.closure_nodes, closure.len());
+            // Each generation rewrites exactly one shop's history, so exactly
+            // one feature row moves and exactly one segment is rebuilt; the
+            // shop's closure neighbours refresh to bit-identical rows and keep
+            // their cached entries.
+            assert_eq!(
+                stats.recomputed_nodes, 1,
+                "generation {gen} recomputed more than the delta"
+            );
+            let rebuilt = EmbedCache::segment_of(((gen + 1) * 13) % N_SHOPS);
+            for seg in 0..prev.embeddings.segment_count() {
+                let (b, a) = (prev.embeddings.segment_addr(seg), next.embeddings.segment_addr(seg));
+                if seg == rebuilt {
+                    assert_ne!(b, a, "generation {gen}: the rewritten shop's segment not rebuilt");
+                } else {
+                    assert_eq!(b, a, "generation {gen}: clean segment {seg} was copied");
+                    shared_total += 1;
+                }
             }
+            prev = next;
         }
-        prev = next;
+        assert!(shared_total > 0, "the chain never shared a segment");
     }
-    assert!(shared_total > 0, "the chain never shared a segment");
 }
